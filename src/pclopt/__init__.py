@@ -24,7 +24,6 @@ from .choice import (
 from .exact import (
     BranchBoundConfig,
     LpSolution,
-    MipFormulation,
     SolveResult,
     SolveStats,
     branch_and_bound,
@@ -49,6 +48,7 @@ from .objective import (
     LinearizedCoefficients,
     a_value,
     a_value_linearized,
+    coefficients,
     incremental_a_delta,
 )
 from .pricing import lambert_w0, optimal_uniform_price
@@ -66,7 +66,6 @@ __all__ = [
     "Instance",
     "LinearizedCoefficients",
     "LpSolution",
-    "MipFormulation",
     "FULL_SCALE_GRID",
     "SolveResult",
     "SolveStats",
@@ -76,6 +75,7 @@ __all__ = [
     "branch_and_bound",
     "brute_force_oracle",
     "choice_probabilities",
+    "coefficients",
     "compute_gap",
     "derive_seed",
     "emit_report",

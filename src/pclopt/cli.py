@@ -202,7 +202,9 @@ def _cmd_solve(args) -> int:
             "revenue": w / instance.beta,
             "upper_bound": lp.objective_value,
             "status": "bound-only",
-            "stats": SolveStats(lp_solves=1, wall_time_s=time.perf_counter() - t0).to_dict(),
+            "stats": SolveStats(
+                lp_solves=lp.lp_solves, wall_time_s=time.perf_counter() - t0
+            ).to_dict(),
         }
     else:  # exact
         config = BranchBoundConfig(

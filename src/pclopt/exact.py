@@ -32,7 +32,7 @@ from scipy.optimize import linprog
 
 from .heuristics import GraspConfig, grasp, greedy
 from .instance import Instance, tie_break_prefer
-from .objective import LinearizedCoefficients, a_value
+from .objective import a_value, coefficients
 from .pricing import lambert_w0, optimal_uniform_price
 
 _BRUTE_FORCE_MAX_N = 22
@@ -40,39 +40,10 @@ _CHUNK_BITS = 16
 # inflate relaxation bounds so float noise can never prune the true optimum
 _LP_SAFETY = 1e-7
 _MAJORANT_SAFETY = 1e-9
-
-
-@dataclass
-class MipFormulation:
-    """Arrays of the linearized program: objective, knapsack row, pair rows."""
-
-    n: int
-    pair_i: np.ndarray
-    pair_j: np.ndarray
-    x_costs: np.ndarray  # (n-1) * theta_i, the regrouped linear part
-    y_costs: np.ndarray  # mu_ij <= 0
-    weights: np.ndarray
-    capacity: float
-
-    @classmethod
-    def from_instance(
-        cls, instance: Instance, coeffs: LinearizedCoefficients | None = None
-    ) -> "MipFormulation":
-        if coeffs is None:
-            coeffs = LinearizedCoefficients.from_instance(instance)
-        return cls(
-            n=instance.n,
-            pair_i=instance.pair_i,
-            pair_j=instance.pair_j,
-            x_costs=(instance.n - 1) * coeffs.theta,
-            y_costs=coeffs.mu,
-            weights=instance.weights,
-            capacity=instance.capacity,
-        )
-
-    @property
-    def num_pairs(self) -> int:
-        return self.y_costs.size
+# a relaxed value this close to 0 or 1 counts as integral
+_INTEGRALITY_TOL = 1e-6
+# prune a node whose bound exceeds the incumbent by at most this relative slack
+_PRUNE_REL_TOL = 1e-9
 
 
 @dataclass
@@ -80,6 +51,7 @@ class LpSolution:
     x_frac: np.ndarray
     y_frac: np.ndarray
     objective_value: float
+    lp_solves: int
 
 
 @dataclass
@@ -125,8 +97,6 @@ class BranchBoundConfig:
     node_budget: int | None = None
     time_budget_s: float | None = None
     grasp: GraspConfig = field(default_factory=GraspConfig)
-    integrality_tol: float = 1e-6
-    prune_rel_tol: float = 1e-9
     record_bound_history: bool = False
 
     def __post_init__(self):
@@ -168,12 +138,12 @@ def knapsack_majorant_bound(instance: Instance) -> float:
     Valid because dropping the mu terms (all <= 0) and relaxing x to [0,1]
     both only increase the optimum, so this dominates the LP bound and A(x*).
     """
-    coeffs = LinearizedCoefficients.from_instance(instance)
-    best, _ = _fractional_knapsack(coeffs.theta, instance.weights, instance.capacity)
+    theta = coefficients(instance).theta
+    best, _ = _fractional_knapsack(theta, instance.weights, instance.capacity)
     return (instance.n - 1) * best
 
 
-def _lp_bound(mip: MipFormulation, lb: np.ndarray, ub: np.ndarray):
+def _lp_bound(instance: Instance, lb: np.ndarray, ub: np.ndarray):
     """LP relaxation with per-product bounds, by lazy pair-row generation.
 
     Pairs (mu < 0) enter the restricted LP only once the current solution
@@ -181,19 +151,20 @@ def _lp_bound(mip: MipFormulation, lb: np.ndarray, ub: np.ndarray):
     restricted optimum equals the full LP optimum.  Returns the canonical
     full objective, the x part of the solution, and the solver-call count.
     """
-    n = mip.n
-    I, J = mip.pair_i, mip.pair_j
-    mu = mip.y_costs
-    included = np.zeros(mip.num_pairs, dtype=bool)
+    n = instance.n
+    I, J = instance.pair_i, instance.pair_j
+    coeffs = coefficients(instance)
+    lin_costs, mu = coeffs.lin_costs, coeffs.mu
+    included = np.zeros(mu.size, dtype=bool)
     # pairs fixed on at both ends are always violated; seed them
     fixed_on = lb == 1
     included |= (mu < 0) & fixed_on[I] & fixed_on[J]
 
     solves = 0
-    for _ in range(mip.num_pairs + 2):
+    for _ in range(mu.size + 2):
         sel = np.flatnonzero(included)
         k = sel.size
-        cost = np.concatenate([-mip.x_costs, -mu[sel]])
+        cost = np.concatenate([-lin_costs, -mu[sel]])
         row = np.concatenate(
             [np.zeros(n, dtype=int),
              np.repeat(np.arange(1, k + 1), 3)]
@@ -203,11 +174,11 @@ def _lp_bound(mip: MipFormulation, lb: np.ndarray, ub: np.ndarray):
              np.stack([I[sel], J[sel], n + np.arange(k)], axis=1).ravel()]
         ) if k else np.arange(n)
         val = np.concatenate(
-            [mip.weights,
+            [instance.weights,
              np.tile([1.0, 1.0, -1.0], k)]
         )
         a_ub = sp.csr_matrix((val, (row, col)), shape=(1 + k, n + k))
-        b_ub = np.concatenate([[mip.capacity], np.ones(k)])
+        b_ub = np.concatenate([[instance.capacity], np.ones(k)])
         bounds = [(float(lb[i]), float(ub[i])) for i in range(n)] + [(0.0, 1.0)] * k
         res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
         solves += 1
@@ -217,7 +188,7 @@ def _lp_bound(mip: MipFormulation, lb: np.ndarray, ub: np.ndarray):
         violated = (mu < -1e-15) & ~included & (x[I] + x[J] - 1.0 > 1e-12)
         if not violated.any():
             y_full = np.maximum(0.0, x[I] + x[J] - 1.0)
-            objective = float(mip.x_costs @ x + mu @ y_full)
+            objective = float(lin_costs @ x + mu @ y_full)
             return objective, x, solves
         included |= violated
     raise RuntimeError("pair-row generation failed to converge")
@@ -225,12 +196,11 @@ def _lp_bound(mip: MipFormulation, lb: np.ndarray, ub: np.ndarray):
 
 def lp_relaxation(instance: Instance) -> LpSolution:
     """Optimal LP relaxation; its objective bounds A(x) for all feasible x."""
-    mip = MipFormulation.from_instance(instance)
     lb = np.zeros(instance.n, dtype=np.int8)
     ub = np.ones(instance.n, dtype=np.int8)
-    objective, x, _ = _lp_bound(mip, lb, ub)
-    y = np.maximum(0.0, x[mip.pair_i] + x[mip.pair_j] - 1.0)
-    return LpSolution(x_frac=x, y_frac=y, objective_value=objective)
+    objective, x, solves = _lp_bound(instance, lb, ub)
+    y = np.maximum(0.0, x[instance.pair_i] + x[instance.pair_j] - 1.0)
+    return LpSolution(x_frac=x, y_frac=y, objective_value=objective, lp_solves=solves)
 
 
 def revenue_upper_bound(instance: Instance) -> float:
@@ -254,9 +224,9 @@ def brute_force_oracle(instance: Instance) -> SolveResult:
             f"limit of {_BRUTE_FORCE_MAX_N}"
         )
     t0 = time.perf_counter()
-    coeffs = LinearizedCoefficients.from_instance(instance)
+    coeffs = coefficients(instance)
     I, J = instance.pair_i, instance.pair_j
-    lin_costs = (n - 1) * coeffs.theta
+    lin_costs = coeffs.lin_costs
     bit_values = 1 << np.arange(n, dtype=np.int64)
 
     best_lin = -np.inf
@@ -284,11 +254,11 @@ def brute_force_oracle(instance: Instance) -> SolveResult:
         x = ((mask & bit_values) != 0).astype(np.int8)
         if float(instance.weights @ x.astype(float)) > instance.capacity:
             continue
-        a = a_value(instance, x, coeffs)
+        a = a_value(instance, x)
         if a > best_a or (a == best_a and tie_break_prefer(x, best_x)):
             best_x, best_a = x, a
 
-    price, revenue = optimal_uniform_price(instance, best_x, coeffs)
+    price, revenue = optimal_uniform_price(instance, best_x)
     return SolveResult(
         assortment=best_x,
         a_value=best_a,
@@ -319,14 +289,13 @@ def branch_and_bound(
     t0 = time.perf_counter()
     n = instance.n
     weights = instance.weights
-    coeffs = LinearizedCoefficients.from_instance(instance)
-    mip = MipFormulation.from_instance(instance, coeffs)
+    coeffs = coefficients(instance)
     mu_mat = coeffs.mu_matrix(n)
-    lin_costs = (n - 1) * coeffs.theta
+    lin_costs = coeffs.lin_costs
 
     inc_x = np.zeros(n, dtype=np.int8)
-    inc_a = a_value(instance, inc_x, coeffs)
-    for seed_result in (greedy(instance, coeffs), grasp(instance, config.grasp)):
+    inc_a = a_value(instance, inc_x)
+    for seed_result in (greedy(instance), grasp(instance, config.grasp)):
         if seed_result.a_value > inc_a or (
             seed_result.a_value == inc_a
             and tie_break_prefer(seed_result.assortment, inc_x)
@@ -344,7 +313,7 @@ def branch_and_bound(
 
     def maybe_update(x_cand: np.ndarray) -> None:
         nonlocal inc_x, inc_a
-        a = a_value(instance, x_cand, coeffs)
+        a = a_value(instance, x_cand)
         if a > inc_a or (a == inc_a and tie_break_prefer(x_cand, inc_x)):
             inc_x, inc_a = x_cand, a
 
@@ -360,7 +329,7 @@ def branch_and_bound(
             break
         lb, ub, bound = stack.pop()
         stats.nodes += 1
-        prune_tol = config.prune_rel_tol * max(1.0, abs(inc_a))
+        prune_tol = _PRUNE_REL_TOL * max(1.0, abs(inc_a))
 
         fixed_on = lb == 1
         weight_fixed = float(weights @ fixed_on)
@@ -398,7 +367,7 @@ def branch_and_bound(
             continue
 
         if config.bound_mode == "lp":
-            lp_obj, x_rel, solves = _lp_bound(mip, lb, ub)
+            lp_obj, x_rel, solves = _lp_bound(instance, lb, ub)
             stats.lp_solves += solves
             bound = min(bound, lp_obj + _LP_SAFETY * max(1.0, abs(lp_obj)))
             if bound <= inc_a + prune_tol:
@@ -412,11 +381,11 @@ def branch_and_bound(
         fractionality = np.where(free, np.minimum(x_rel, 1.0 - x_rel), -1.0)
         branch_var = int(np.argmax(fractionality))
 
-        if fractionality[branch_var] <= config.integrality_tol:
+        if fractionality[branch_var] <= _INTEGRALITY_TOL:
             x_int = np.where(x_rel > 0.5, 1, 0).astype(np.int8)
             if float(weights @ x_int.astype(float)) <= instance.capacity:
                 maybe_update(x_int)
-                if config.bound_mode == "lp" or bound <= inc_a + config.prune_rel_tol * max(
+                if config.bound_mode == "lp" or bound <= inc_a + _PRUNE_REL_TOL * max(
                     1.0, abs(inc_a)
                 ):
                     # integral LP optimum closes the subtree
@@ -437,7 +406,7 @@ def branch_and_bound(
 
     upper = _global_bound(inc_a, stack) if stopped else inc_a
     status = "feasible" if stopped else "optimal"
-    price, revenue = optimal_uniform_price(instance, inc_x, coeffs)
+    price, revenue = optimal_uniform_price(instance, inc_x)
     stats.wall_time_s = time.perf_counter() - t0
     return SolveResult(
         assortment=inc_x,

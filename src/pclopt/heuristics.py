@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, tie_break_prefer, validate_assortment
-from .objective import LinearizedCoefficients, a_value, incremental_a_delta
+from .instance import Instance, tie_break_prefer
+from .objective import a_value, coefficients, incremental_a_delta
 from .pricing import optimal_uniform_price
 
 # accept a swap only if it improves A beyond float noise, to avoid cycling
@@ -57,28 +57,26 @@ class HeuristicResult:
         }
 
 
-def _ratio_order(instance: Instance, coeffs: LinearizedCoefficients) -> np.ndarray:
+def _ratio_order(instance: Instance) -> np.ndarray:
     """Product indices by theta_i / w_i descending, ties to the smaller index."""
-    ratio = coeffs.theta / instance.weights
+    ratio = coefficients(instance).theta / instance.weights
     return np.lexsort((np.arange(instance.n), -ratio))
 
 
-def greedy(instance: Instance, coeffs: LinearizedCoefficients | None = None) -> HeuristicResult:
+def greedy(instance: Instance) -> HeuristicResult:
     """One pass over the ratio-sorted products, adding whatever still fits.
 
     Products that do not fit are skipped, not terminal: a lighter product
     later in the ratio order may still fit the remaining capacity.
     """
-    if coeffs is None:
-        coeffs = LinearizedCoefficients.from_instance(instance)
     x = np.zeros(instance.n, dtype=np.int8)
     remaining = instance.capacity
-    for k in _ratio_order(instance, coeffs):
+    for k in _ratio_order(instance):
         if instance.weights[k] <= remaining:
             x[k] = 1
             remaining -= instance.weights[k]
-    a = a_value(instance, x, coeffs)
-    price, revenue = optimal_uniform_price(instance, x, coeffs)
+    a = a_value(instance, x)
+    price, revenue = optimal_uniform_price(instance, x)
     return HeuristicResult(
         assortment=x,
         a_value=a,
@@ -89,7 +87,7 @@ def greedy(instance: Instance, coeffs: LinearizedCoefficients | None = None) -> 
     )
 
 
-def _construct(instance, coeffs, order, rcl, rng):
+def _construct(instance, order, rcl, rng):
     """Randomized greedy: repeatedly pick uniformly among the rcl best-ratio
     unselected products that still fit, until nothing fits."""
     x = np.zeros(instance.n, dtype=np.int8)
@@ -106,14 +104,14 @@ def _construct(instance, coeffs, order, rcl, rng):
         remaining -= instance.weights[k]
 
 
-def _local_search(instance, coeffs, x, max_iter, rng):
+def _local_search(instance, x, max_iter, rng):
     """Swap local search: draw one offered and one unoffered product, flip
     both, keep the move iff it is feasible and strictly increases A."""
     n = instance.n
     weights = instance.weights
     x = x.copy()
     current_weight = float(weights @ x.astype(float))
-    current_a = a_value(instance, x, coeffs)
+    current_a = a_value(instance, x)
     accepted = 0
     for _ in range(max_iter):
         ones = np.flatnonzero(x == 1)
@@ -124,9 +122,9 @@ def _local_search(instance, coeffs, x, max_iter, rng):
         inc = int(zeros[rng.integers(zeros.size)])
         if current_weight - weights[out] + weights[inc] > instance.capacity:
             continue
-        delta = incremental_a_delta(instance, coeffs, x, inc, "add")
+        delta = incremental_a_delta(instance, x, inc, "add")
         x[inc] = 1
-        delta += incremental_a_delta(instance, coeffs, x, out, "remove")
+        delta += incremental_a_delta(instance, x, out, "remove")
         if delta > _IMPROVE_TOL * max(1.0, current_a):
             x[out] = 0
             current_weight += weights[inc] - weights[out]
@@ -146,8 +144,7 @@ def grasp(instance: Instance, config: GraspConfig | None = None) -> HeuristicRes
     """
     if config is None:
         config = GraspConfig()
-    coeffs = LinearizedCoefficients.from_instance(instance)
-    order = _ratio_order(instance, coeffs)
+    order = _ratio_order(instance)
 
     best_x = None
     best_a = -np.inf
@@ -155,13 +152,13 @@ def grasp(instance: Instance, config: GraspConfig | None = None) -> HeuristicRes
     improvements = 0
     for rcl in range(1, config.rcl_max + 1):
         rng = np.random.default_rng((config.seed, rcl))
-        x = _construct(instance, coeffs, order, rcl, rng)
-        x, accepted = _local_search(instance, coeffs, x, config.max_iter, rng)
+        x = _construct(instance, order, rcl, rng)
+        x, accepted = _local_search(instance, x, config.max_iter, rng)
         improvements += accepted
-        a = a_value(instance, x, coeffs)
+        a = a_value(instance, x)
         if a > best_a or (a == best_a and tie_break_prefer(x, best_x)):
             best_x, best_a, best_rcl = x, a, rcl
-    price, revenue = optimal_uniform_price(instance, best_x, coeffs)
+    price, revenue = optimal_uniform_price(instance, best_x)
     return HeuristicResult(
         assortment=best_x,
         a_value=best_a,

@@ -81,6 +81,8 @@ class Instance:
     gamma_upper: np.ndarray
     pair_i: np.ndarray = field(init=False, repr=False, compare=False)
     pair_j: np.ndarray = field(init=False, repr=False, compare=False)
+    # LinearizedCoefficients, filled by pclopt.objective.coefficients
+    _coefficients: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):

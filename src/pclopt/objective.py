@@ -17,6 +17,9 @@ With mu_ij = rho_ij - theta_i - theta_j <= 0 this is identically
 which is the quadratic form the exact solver linearizes.  rho is evaluated
 in log space so small gammas do not overflow; pairs with gamma_ij == 1 get
 rho = theta_i + theta_j exactly, making mu exactly zero there.
+
+``coefficients(instance)`` builds these arrays once per instance and caches
+them on it; every solver, bound and heuristic reads them from there.
 """
 
 from __future__ import annotations
@@ -30,11 +33,13 @@ from .instance import Instance, validate_assortment
 
 @dataclass
 class LinearizedCoefficients:
-    """theta per product, rho and mu = rho - theta_i - theta_j per pair."""
+    """theta per product, rho and mu = rho - theta_i - theta_j per pair, and
+    lin_costs = (n-1) theta, the regrouped linear part of the program."""
 
     theta: np.ndarray
     rho: np.ndarray
     mu: np.ndarray
+    lin_costs: np.ndarray
     _mu_matrix: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -49,7 +54,7 @@ class LinearizedCoefficients:
         rho[unit] = theta[I[unit]] + theta[J[unit]]
         # subadditivity of t -> t^gamma guarantees mu <= 0; clamp log/exp noise
         mu = np.minimum(rho - theta[I] - theta[J], 0.0)
-        return cls(theta=theta, rho=rho, mu=mu)
+        return cls(theta=theta, rho=rho, mu=mu, lin_costs=(instance.n - 1) * theta)
 
     def mu_matrix(self, n: int) -> np.ndarray:
         """Dense symmetric mu with zero diagonal, built on first use."""
@@ -62,27 +67,33 @@ class LinearizedCoefficients:
         return self._mu_matrix
 
 
-def _pair_terms(instance: Instance, coeffs: LinearizedCoefficients, x: np.ndarray):
+def coefficients(instance: Instance) -> LinearizedCoefficients:
+    """The instance's coefficients, built on first use and cached on it.
+
+    They depend on alpha and gamma_upper only, which must not be changed
+    once an instance is in use.
+    """
+    if instance._coefficients is None:
+        instance._coefficients = LinearizedCoefficients.from_instance(instance)
+    return instance._coefficients
+
+
+def a_value(instance: Instance, x) -> float:
+    """A(x), the pair-sum objective.  Empty pairs contribute 0."""
+    x = validate_assortment(instance, x)
+    coeffs = coefficients(instance)
     on = x.astype(bool)
     on_i, on_j = on[instance.pair_i], on[instance.pair_j]
     theta_i = coeffs.theta[instance.pair_i]
     theta_j = coeffs.theta[instance.pair_j]
-    return np.where(on_i & on_j, coeffs.rho, on_i * theta_i + on_j * theta_j)
+    terms = np.where(on_i & on_j, coeffs.rho, on_i * theta_i + on_j * theta_j)
+    return float(np.sum(terms))
 
 
-def a_value(instance: Instance, x, coeffs: LinearizedCoefficients | None = None) -> float:
-    """A(x), the pair-sum objective.  Empty pairs contribute 0."""
-    x = validate_assortment(instance, x)
-    if coeffs is None:
-        coeffs = LinearizedCoefficients.from_instance(instance)
-    return float(np.sum(_pair_terms(instance, coeffs, x)))
-
-
-def a_value_linearized(
-    instance: Instance, coeffs: LinearizedCoefficients, x
-) -> float:
+def a_value_linearized(instance: Instance, x) -> float:
     """A(x) through the quadratic identity mu x_i x_j + theta_i x_i + theta_j x_j."""
     x = validate_assortment(instance, x).astype(float)
+    coeffs = coefficients(instance)
     xi, xj = x[instance.pair_i], x[instance.pair_j]
     terms = (
         coeffs.mu * xi * xj
@@ -93,11 +104,7 @@ def a_value_linearized(
 
 
 def incremental_a_delta(
-    instance: Instance,
-    coeffs: LinearizedCoefficients,
-    current_x,
-    product_k: int,
-    direction: str,
+    instance: Instance, current_x, product_k: int, direction: str
 ) -> float:
     """A(x') - A(x) for adding or removing one product, in O(n).
 
@@ -106,14 +113,15 @@ def incremental_a_delta(
     that still contains k.
     """
     x = validate_assortment(instance, current_x).astype(float)
+    coeffs = coefficients(instance)
     mu_row = coeffs.mu_matrix(instance.n)[product_k]
     if direction == "add":
         if x[product_k] != 0:
             raise ValueError(f"product {product_k} is already offered")
-        return float(mu_row @ x + (instance.n - 1) * coeffs.theta[product_k])
+        return float(mu_row @ x + coeffs.lin_costs[product_k])
     if direction == "remove":
         if x[product_k] != 1:
             raise ValueError(f"product {product_k} is not offered")
         # diagonal of mu is zero, so k's own entry drops out of the dot product
-        return float(-(mu_row @ x + (instance.n - 1) * coeffs.theta[product_k]))
+        return float(-(mu_row @ x + coeffs.lin_costs[product_k]))
     raise ValueError("direction must be 'add' or 'remove'")

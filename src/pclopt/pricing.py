@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .instance import Instance, validate_assortment
-from .objective import LinearizedCoefficients, a_value
+from .objective import a_value
 
 _RESIDUAL_TOL = 1e-14
 _MAX_ITER = 50
@@ -44,16 +44,14 @@ def lambert_w0(y: float) -> float:
     return w
 
 
-def optimal_uniform_price(
-    instance: Instance, x, coeffs: LinearizedCoefficients | None = None
-) -> tuple[float, float]:
+def optimal_uniform_price(instance: Instance, x) -> tuple[float, float]:
     """(price, revenue) of the best uniform price for assortment x.
 
     The empty assortment yields price 1/beta and revenue 0, the continuous
     limit of the formulas at A = 0.
     """
     x = validate_assortment(instance, x)
-    a = a_value(instance, x, coeffs)
+    a = a_value(instance, x)
     w = lambert_w0(a / math.e)
     price = (1.0 + w) / instance.beta
     revenue = w / instance.beta

@@ -1,6 +1,27 @@
 import numpy as np
+import pytest
 
-from pclopt import GeneratorConfig, Instance, generate_instance, pair_count
+from pclopt import (
+    GeneratorConfig,
+    Instance,
+    LinearizedCoefficients,
+    generate_instance,
+    pair_count,
+)
+
+
+@pytest.fixture
+def coefficient_builds(monkeypatch):
+    """List that records the instance of every LinearizedCoefficients build."""
+    built = []
+    build = LinearizedCoefficients.from_instance.__func__
+
+    def counting(cls, instance):
+        built.append(instance)
+        return build(cls, instance)
+
+    monkeypatch.setattr(LinearizedCoefficients, "from_instance", classmethod(counting))
+    return built
 
 
 def toy_instance(alpha, weights, capacity, beta=0.1, gamma=1.0) -> Instance:

@@ -32,7 +32,6 @@ from pclopt import (
     run_experiment,
     simulate_choice,
 )
-from pclopt.objective import LinearizedCoefficients
 
 from conftest import random_feasible_assortment
 
@@ -158,11 +157,10 @@ def test_criterion_5_linearization_identity():
     worst = 0.0
     for trial in range(20):
         inst = _instance(int(rng.integers(2**32)), n, float(rng.uniform(0.1, 0.9)))
-        coeffs = LinearizedCoefficients.from_instance(inst)
         for mask in range(1 << n):
             x = np.array([(mask >> k) & 1 for k in range(n)], dtype=np.int8)
-            direct = a_value(inst, x, coeffs)
-            linear = a_value_linearized(inst, coeffs, x)
+            direct = a_value(inst, x)
+            linear = a_value_linearized(inst, x)
             worst = max(worst, abs(direct - linear) / max(1.0, abs(direct)))
     elapsed = time.perf_counter() - t0
     _report(

@@ -14,6 +14,7 @@ from pclopt import (
     pair_count,
     run_experiment,
 )
+from pclopt.bench import METHODS
 
 
 def test_generator_ranges():
@@ -141,6 +142,11 @@ def test_run_experiment_empty_methods_and_validation(tmp_path):
         run_experiment([(8, 0.2)], 3, ["simplex"], 0)
     with pytest.raises(ValueError):
         run_experiment([(400, 0.02)], 1, ["exact"], 0, node_budget=None)
+
+
+def test_run_experiment_builds_coefficients_once_per_instance(coefficient_builds):
+    run_experiment([(20, 0.04)], 1, METHODS, 0)
+    assert len(coefficient_builds) == 1
 
 
 def test_run_experiment_partial_methods():

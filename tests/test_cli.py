@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import pclopt.exact
 from pclopt.cli import dispatch
 
 
@@ -100,6 +101,24 @@ def test_solve_lp_bound_dominates_exact(tmp_path, capsys):
     exact = json.loads(out_exact)
     assert bound["upper_bound"] >= exact["a_value"] - 1e-8
     assert bound["revenue"] >= exact["revenue"] - 1e-8
+
+
+def test_solve_lp_bound_reports_every_lp_solve(tmp_path, capsys, monkeypatch):
+    path = write_instance(tmp_path, capsys, n=100, kappa=0.04, seed=1)
+    calls = []
+    linprog = pclopt.exact.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(pclopt.exact, "linprog", counting)
+    code, out, _ = run_cli(
+        ["solve", "--instance", str(path), "--method", "lp-bound"], capsys
+    )
+    assert code == 0
+    assert len(calls) > 1  # rows are generated lazily over several solves
+    assert json.loads(out)["stats"]["lp_solves"] == len(calls)
 
 
 def test_solve_budget_exhaustion_is_not_an_error(tmp_path, capsys):

@@ -6,10 +6,10 @@ import pytest
 from pclopt import (
     BranchBoundConfig,
     GraspConfig,
-    MipFormulation,
     a_value,
     branch_and_bound,
     brute_force_oracle,
+    coefficients,
     grasp,
     greedy,
     knapsack_majorant_bound,
@@ -24,10 +24,10 @@ from conftest import random_instance, toy_instance
 
 def test_formulation_shapes_and_signs():
     inst = random_instance(1, n=7)
-    mip = MipFormulation.from_instance(inst)
-    assert mip.num_pairs == pair_count(7) == 21
-    assert np.all(mip.y_costs <= 0.0)
-    assert mip.x_costs == pytest.approx(6.0 * np.exp(inst.alpha))
+    coeffs = coefficients(inst)
+    assert coeffs.mu.size == pair_count(7) == 21
+    assert np.all(coeffs.mu <= 0.0)
+    assert coeffs.lin_costs == pytest.approx(6.0 * np.exp(inst.alpha))
 
 
 def test_brute_force_tie_breaks_toward_product_one():
