@@ -24,15 +24,14 @@ from .choice import (
 from .exact import (
     BranchBoundConfig,
     LpSolution,
-    SolveResult,
-    SolveStats,
     branch_and_bound,
     brute_force_oracle,
     knapsack_majorant_bound,
+    lp_bound_answer,
     lp_relaxation,
     revenue_upper_bound,
 )
-from .heuristics import GraspConfig, HeuristicResult, grasp, greedy
+from .heuristics import GraspConfig, grasp, greedy
 from .instance import (
     Instance,
     ValidationError,
@@ -51,7 +50,13 @@ from .objective import (
     coefficients,
     incremental_a_delta,
 )
-from .pricing import lambert_w0, optimal_uniform_price
+from .pricing import (
+    SolveResult,
+    SolveStats,
+    lambert_w0,
+    optimal_uniform_price,
+    price_for_a,
+)
 
 __version__ = "0.1.0"
 
@@ -62,7 +67,6 @@ __all__ = [
     "ExperimentRow",
     "GeneratorConfig",
     "GraspConfig",
-    "HeuristicResult",
     "Instance",
     "LinearizedCoefficients",
     "LpSolution",
@@ -87,12 +91,14 @@ __all__ = [
     "is_feasible",
     "knapsack_majorant_bound",
     "lambert_w0",
+    "lp_bound_answer",
     "lp_relaxation",
     "optimal_uniform_price",
     "pair_count",
     "pair_index",
     "pair_members",
     "preference_weight",
+    "price_for_a",
     "revenue_upper_bound",
     "run_experiment",
     "simulate_choice",

@@ -17,8 +17,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .bench import (
     DESK_GRID,
     METHODS,
@@ -29,16 +27,9 @@ from .bench import (
     run_experiment,
 )
 from .choice import choice_probabilities, expected_revenue, simulate_choice
-from .exact import (
-    BranchBoundConfig,
-    SolveStats,
-    branch_and_bound,
-    brute_force_oracle,
-    lp_relaxation,
-)
+from .exact import BranchBoundConfig, branch_and_bound, brute_force_oracle, lp_bound_answer
 from .heuristics import GraspConfig, grasp, greedy
 from .instance import Instance, ValidationError, validate_assortment, validate_prices
-from .pricing import lambert_w0
 
 
 class CliError(Exception):
@@ -163,49 +154,21 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _heuristic_payload(result, wall_time: float) -> dict:
-    return {
-        "assortment": result.assortment.tolist(),
-        "a_value": result.a_value,
-        "price": result.price,
-        "revenue": result.revenue,
-        "upper_bound": None,
-        "status": "heuristic",
-        "stats": {
-            "wall_time_s": wall_time,
-            "construction_rcl": result.construction_rcl,
-            "improvement_count": result.improvement_count,
-        },
-    }
-
-
 def _cmd_solve(args) -> int:
     instance = _load_instance(args.instance)
     t0 = time.perf_counter()
     if args.method == "greedy":
-        payload = _heuristic_payload(greedy(instance), time.perf_counter() - t0)
+        result = greedy(instance)
     elif args.method == "grasp":
         config = GraspConfig(rcl_max=args.rcl_max, max_iter=args.max_iter, seed=args.seed)
-        payload = _heuristic_payload(grasp(instance, config), time.perf_counter() - t0)
+        result = grasp(instance, config)
     elif args.method == "brute-force":
         try:
-            payload = brute_force_oracle(instance).to_dict()
+            result = brute_force_oracle(instance)
         except ValueError as exc:
             raise CliError("instance-too-large", str(exc)) from exc
     elif args.method == "lp-bound":
-        lp = lp_relaxation(instance)
-        w = lambert_w0(lp.objective_value / np.e)
-        payload = {
-            "assortment": None,
-            "a_value": None,
-            "price": (1.0 + w) / instance.beta,
-            "revenue": w / instance.beta,
-            "upper_bound": lp.objective_value,
-            "status": "bound-only",
-            "stats": SolveStats(
-                lp_solves=lp.lp_solves, wall_time_s=time.perf_counter() - t0
-            ).to_dict(),
-        }
+        result = lp_bound_answer(instance)
     else:  # exact
         config = BranchBoundConfig(
             bound_mode=args.bound_mode,
@@ -213,8 +176,9 @@ def _cmd_solve(args) -> int:
             time_budget_s=args.budget_seconds,
             grasp=GraspConfig(rcl_max=args.rcl_max, max_iter=args.max_iter, seed=args.seed),
         )
-        payload = branch_and_bound(instance, config).to_dict()
-    _dump(payload, args.out)
+        result = branch_and_bound(instance, config)
+    result.stats.wall_time_s = time.perf_counter() - t0
+    _dump(result.to_dict(), args.out)
     return 0
 
 
@@ -328,17 +292,19 @@ def dispatch(argv) -> int:
         args = _build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except CliError as exc:
-        envelope = {"code": exc.code, "message": str(exc), "path": exc.path}
-        print(json.dumps(envelope), file=sys.stderr)
-        return exc.exit_code
+        return _fail(exc.code, str(exc), exc.path, exc.exit_code)
     except ValidationError as exc:
-        envelope = {"code": "invalid-instance", "message": str(exc), "path": exc.path}
-        print(json.dumps(envelope), file=sys.stderr)
-        return 2
+        return _fail("invalid-instance", str(exc), exc.path, 2)
     except ValueError as exc:
-        envelope = {"code": "bad-arguments", "message": str(exc), "path": None}
-        print(json.dumps(envelope), file=sys.stderr)
-        return 2
+        return _fail("bad-arguments", str(exc), None, 2)
+    except RuntimeError as exc:  # a solver gave up, e.g. HiGHS on an overflowing LP
+        return _fail("solver-failed", str(exc), None, 1)
+
+
+def _fail(code: str, message: str, path: str | None, exit_code: int) -> int:
+    """Print the error envelope to stderr and return the exit code."""
+    print(json.dumps({"code": code, "message": message, "path": path}), file=sys.stderr)
+    return exit_code
 
 
 def main() -> None:

@@ -11,6 +11,9 @@ Three routes to the optimum / bounds on it:
   Because every mu_ij <= 0, a pair row only matters when x_i + x_j > 1 at
   the optimum, so the LP is solved by generating violated pair rows lazily;
   the restricted LPs stay tiny even for large n.
+* ``lp_bound_answer`` is the bound-only answer: no assortment, the LP
+  bound as ``upper_bound``, priced as if that A were attained, which gives
+  ``revenue_upper_bound``.
 * ``branch_and_bound`` proves optimality over binary x, pruning nodes with
   a cheap fractional-knapsack majorant first and the node LP second, with
   the incumbent seeded by greedy and GRASP.
@@ -22,7 +25,6 @@ fractional-knapsack optimum dominates the LP bound and hence A(x*).
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -33,7 +35,7 @@ from scipy.optimize import linprog
 from .heuristics import GraspConfig, grasp, greedy
 from .instance import Instance, tie_break_prefer
 from .objective import a_value, coefficients
-from .pricing import lambert_w0, optimal_uniform_price
+from .pricing import SolveResult, SolveStats, optimal_uniform_price, price_for_a
 
 _BRUTE_FORCE_MAX_N = 22
 _CHUNK_BITS = 16
@@ -52,43 +54,6 @@ class LpSolution:
     y_frac: np.ndarray
     objective_value: float
     lp_solves: int
-
-
-@dataclass
-class SolveStats:
-    nodes: int = 0
-    lp_solves: int = 0
-    wall_time_s: float = 0.0
-    bound_history: list | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "lp_solves": self.lp_solves,
-            "wall_time_s": self.wall_time_s,
-        }
-
-
-@dataclass
-class SolveResult:
-    assortment: np.ndarray | None
-    a_value: float | None
-    price: float
-    revenue: float
-    upper_bound: float | None
-    status: str  # optimal | feasible | bound-only
-    stats: SolveStats
-
-    def to_dict(self) -> dict:
-        return {
-            "assortment": None if self.assortment is None else self.assortment.tolist(),
-            "a_value": self.a_value,
-            "price": self.price,
-            "revenue": self.revenue,
-            "upper_bound": self.upper_bound,
-            "status": self.status,
-            "stats": self.stats.to_dict(),
-        }
 
 
 @dataclass
@@ -203,10 +168,25 @@ def lp_relaxation(instance: Instance) -> LpSolution:
     return LpSolution(x_frac=x, y_frac=y, objective_value=objective, lp_solves=solves)
 
 
+def lp_bound_answer(instance: Instance) -> SolveResult:
+    """The bound-only answer: no assortment, the LP bound on A, and the
+    price and revenue that bound implies through the price formula."""
+    lp = lp_relaxation(instance)
+    price, revenue = price_for_a(lp.objective_value, instance.beta)
+    return SolveResult(
+        assortment=None,
+        a_value=None,
+        price=price,
+        revenue=revenue,
+        upper_bound=lp.objective_value,
+        status="bound-only",
+        stats=SolveStats(lp_solves=lp.lp_solves),
+    )
+
+
 def revenue_upper_bound(instance: Instance) -> float:
-    """Revenue bound from the LP relaxation pushed through the price formula."""
-    a_bar = lp_relaxation(instance).objective_value
-    return lambert_w0(a_bar / math.e) / instance.beta
+    """Revenue bound: the revenue of the bound-only answer."""
+    return lp_bound_answer(instance).revenue
 
 
 def brute_force_oracle(instance: Instance) -> SolveResult:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .instance import Instance, tie_break_prefer
 from .objective import a_value, coefficients, incremental_a_delta
-from .pricing import optimal_uniform_price
+from .pricing import SolveResult, SolveStats, optimal_uniform_price
 
 # accept a swap only if it improves A beyond float noise, to avoid cycling
 _IMPROVE_TOL = 1e-12
@@ -37,33 +37,26 @@ class GraspConfig:
             raise ValueError("seed must be nonnegative")
 
 
-@dataclass
-class HeuristicResult:
-    assortment: np.ndarray
-    a_value: float
-    price: float
-    revenue: float
-    construction_rcl: int | None
-    improvement_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "assortment": self.assortment.tolist(),
-            "a_value": self.a_value,
-            "price": self.price,
-            "revenue": self.revenue,
-            "construction_rcl": self.construction_rcl,
-            "improvement_count": self.improvement_count,
-        }
-
-
 def _ratio_order(instance: Instance) -> np.ndarray:
     """Product indices by theta_i / w_i descending, ties to the smaller index."""
     ratio = coefficients(instance).theta / instance.weights
     return np.lexsort((np.arange(instance.n), -ratio))
 
 
-def greedy(instance: Instance) -> HeuristicResult:
+def _heuristic_result(instance, x, a, rcl, improvements) -> SolveResult:
+    price, revenue = optimal_uniform_price(instance, x)
+    return SolveResult(
+        assortment=x,
+        a_value=a,
+        price=price,
+        revenue=revenue,
+        upper_bound=None,
+        status="heuristic",
+        stats=SolveStats(construction_rcl=rcl, improvement_count=improvements),
+    )
+
+
+def greedy(instance: Instance) -> SolveResult:
     """One pass over the ratio-sorted products, adding whatever still fits.
 
     Products that do not fit are skipped, not terminal: a lighter product
@@ -75,16 +68,7 @@ def greedy(instance: Instance) -> HeuristicResult:
         if instance.weights[k] <= remaining:
             x[k] = 1
             remaining -= instance.weights[k]
-    a = a_value(instance, x)
-    price, revenue = optimal_uniform_price(instance, x)
-    return HeuristicResult(
-        assortment=x,
-        a_value=a,
-        price=price,
-        revenue=revenue,
-        construction_rcl=None,
-        improvement_count=0,
-    )
+    return _heuristic_result(instance, x, a_value(instance, x), None, 0)
 
 
 def _construct(instance, order, rcl, rng):
@@ -135,7 +119,7 @@ def _local_search(instance, x, max_iter, rng):
     return x, accepted
 
 
-def grasp(instance: Instance, config: GraspConfig | None = None) -> HeuristicResult:
+def grasp(instance: Instance, config: GraspConfig | None = None) -> SolveResult:
     """Best assortment over rcl = 1..rcl_max randomized rounds.
 
     Each round gets its own RNG stream derived from (seed, round), so rounds
@@ -158,12 +142,4 @@ def grasp(instance: Instance, config: GraspConfig | None = None) -> HeuristicRes
         a = a_value(instance, x)
         if a > best_a or (a == best_a and tie_break_prefer(x, best_x)):
             best_x, best_a, best_rcl = x, a, rcl
-    price, revenue = optimal_uniform_price(instance, best_x)
-    return HeuristicResult(
-        assortment=best_x,
-        a_value=best_a,
-        price=price,
-        revenue=revenue,
-        construction_rcl=best_rcl,
-        improvement_count=improvements,
-    )
+    return _heuristic_result(instance, best_x, best_a, best_rcl, improvements)

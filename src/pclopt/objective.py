@@ -15,7 +15,8 @@ With mu_ij = rho_ij - theta_i - theta_j <= 0 this is identically
     A(x) = sum over i<j of (mu_ij x_i x_j + theta_i x_i + theta_j x_j)
 
 which is the quadratic form the exact solver linearizes.  rho is evaluated
-in log space so small gammas do not overflow; pairs with gamma_ij == 1 get
+in log space without ever forming alpha/gamma, so tiny (even subnormal)
+gammas neither overflow nor underflow; pairs with gamma_ij == 1 get
 rho = theta_i + theta_j exactly, making mu exactly zero there.
 
 ``coefficients(instance)`` builds these arrays once per instance and caches
@@ -49,7 +50,16 @@ class LinearizedCoefficients:
         theta = np.exp(instance.alpha)
         I, J = instance.pair_i, instance.pair_j
         gam = instance.gamma_upper
-        rho = np.exp(gam * np.logaddexp(instance.alpha[I] / gam, instance.alpha[J] / gam))
+        a_i, a_j = instance.alpha[I], instance.alpha[J]
+        # log rho = max(a_i, a_j) + gam log1p(exp(-|a_i - a_j| / gam)), in place
+        # (4 MB per pair array at n = 1000); a / gam would overflow at tiny gam
+        with np.errstate(over="ignore"):
+            log_rho = np.abs(a_i - a_j) / -gam
+        np.logaddexp(0.0, log_rho, out=log_rho)
+        log_rho *= gam
+        log_rho += np.maximum(a_i, a_j, out=a_i)
+        rho = np.exp(log_rho, out=log_rho)
+        del a_i, a_j
         unit = gam == 1.0
         rho[unit] = theta[I[unit]] + theta[J[unit]]
         # subadditivity of t -> t^gamma guarantees mu <= 0; clamp log/exp noise

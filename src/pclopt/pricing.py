@@ -1,4 +1,4 @@
-"""Optimal uniform pricing via the Lambert-W function.
+"""Optimal uniform pricing via the Lambert-W function, and the answer type.
 
 For a fixed assortment x the revenue-maximizing prices are identical across
 offered products:
@@ -8,12 +8,19 @@ offered products:
 
 where W is the principal Lambert-W branch (the inverse of w -> w e^w)
 restricted to the nonnegative ray, which is all this problem needs since
-A(x) >= 0.
+A(x) >= 0.  ``price_for_a`` evaluates this formula for every solver answer.
+
+Every solver answers with a ``SolveResult``: an assortment (or only a
+bound on A) priced through ``price_for_a``.  The type lives here, in the
+lowest module all solvers import.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+
+import numpy as np
 
 from .instance import Instance, validate_assortment
 from .objective import a_value
@@ -44,15 +51,68 @@ def lambert_w0(y: float) -> float:
     return w
 
 
-def optimal_uniform_price(instance: Instance, x) -> tuple[float, float]:
-    """(price, revenue) of the best uniform price for assortment x.
+def price_for_a(a: float, beta: float) -> tuple[float, float]:
+    """(price, revenue) of the best uniform price when A(x) = a.
 
-    The empty assortment yields price 1/beta and revenue 0, the continuous
-    limit of the formulas at A = 0.
+    A = 0 yields price 1/beta and revenue 0, the continuous limit of the
+    formulas.
     """
-    x = validate_assortment(instance, x)
-    a = a_value(instance, x)
     w = lambert_w0(a / math.e)
-    price = (1.0 + w) / instance.beta
-    revenue = w / instance.beta
-    return price, revenue
+    return (1.0 + w) / beta, w / beta
+
+
+def optimal_uniform_price(instance: Instance, x) -> tuple[float, float]:
+    """(price, revenue) of the best uniform price for assortment x."""
+    x = validate_assortment(instance, x)
+    return price_for_a(a_value(instance, x), instance.beta)
+
+
+@dataclass
+class SolveStats:
+    """Search effort behind an answer.  Heuristic answers set
+    ``improvement_count`` (GRASP also ``construction_rcl``) and serialize
+    those in place of ``nodes`` and ``lp_solves``.  Heuristics and the LP
+    bound leave ``wall_time_s`` at 0, so their results repeat exactly; the
+    CLI stamps it on every answer."""
+
+    nodes: int = 0
+    lp_solves: int = 0
+    wall_time_s: float = 0.0
+    bound_history: list | None = None
+    construction_rcl: int | None = None
+    improvement_count: int | None = None
+
+    def to_dict(self) -> dict:
+        if self.improvement_count is not None:
+            return {
+                "wall_time_s": self.wall_time_s,
+                "construction_rcl": self.construction_rcl,
+                "improvement_count": self.improvement_count,
+            }
+        return {
+            "nodes": self.nodes,
+            "lp_solves": self.lp_solves,
+            "wall_time_s": self.wall_time_s,
+        }
+
+
+@dataclass
+class SolveResult:
+    assortment: np.ndarray | None
+    a_value: float | None
+    price: float
+    revenue: float
+    upper_bound: float | None
+    status: str  # optimal | feasible | bound-only | heuristic
+    stats: SolveStats
+
+    def to_dict(self) -> dict:
+        return {
+            "assortment": None if self.assortment is None else self.assortment.tolist(),
+            "a_value": self.a_value,
+            "price": self.price,
+            "revenue": self.revenue,
+            "upper_bound": self.upper_bound,
+            "status": self.status,
+            "stats": self.stats.to_dict(),
+        }

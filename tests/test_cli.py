@@ -4,6 +4,15 @@ import numpy as np
 import pytest
 
 import pclopt.exact
+from pclopt import (
+    Instance,
+    SolveResult,
+    branch_and_bound,
+    brute_force_oracle,
+    grasp,
+    greedy,
+    lp_bound_answer,
+)
 from pclopt.cli import dispatch
 
 
@@ -119,6 +128,44 @@ def test_solve_lp_bound_reports_every_lp_solve(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert len(calls) > 1  # rows are generated lazily over several solves
     assert json.loads(out)["stats"]["lp_solves"] == len(calls)
+
+
+@pytest.mark.parametrize(
+    "method, solver",
+    [
+        ("exact", branch_and_bound),
+        ("brute-force", brute_force_oracle),
+        ("greedy", greedy),
+        ("grasp", grasp),
+        ("lp-bound", lp_bound_answer),
+    ],
+)
+def test_solve_prints_the_library_answer(tmp_path, capsys, method, solver):
+    path = write_instance(tmp_path, capsys, n=12, kappa=0.25)
+    result = solver(Instance.from_dict(json.loads(path.read_text())))
+    assert isinstance(result, SolveResult)
+    code, out, _ = run_cli(["solve", "--instance", str(path), "--method", method], capsys)
+    assert code == 0
+    printed, expected = json.loads(out), result.to_dict()
+    assert printed["stats"].pop("wall_time_s") > 0.0
+    expected["stats"].pop("wall_time_s")
+    assert printed == expected
+
+
+@pytest.mark.parametrize("method", ["lp-bound", "exact"])
+def test_solver_failure_is_an_error_envelope(tmp_path, capsys, method):
+    # exp(705) in the LP costs makes HiGHS give up with an unknown status
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "n": 5, "alpha": [705.0] * 5, "weights": [1, 2, 3, 4, 5], "capacity": 6,
+        "beta": 0.1, "gamma_upper": [0.5] * 10,
+    }))
+    code, out, err = run_cli(["solve", "--instance", str(path), "--method", method], capsys)
+    assert code == 1
+    assert out == ""
+    envelope = json.loads(err)
+    assert envelope["code"] == "solver-failed"
+    assert envelope["path"] is None
 
 
 def test_solve_budget_exhaustion_is_not_an_error(tmp_path, capsys):

@@ -157,6 +157,18 @@ def test_branch_and_bound_global_bound_is_monotone():
     assert all(b >= result.a_value - 1e-9 for b in history)
 
 
+@pytest.mark.parametrize(
+    "alpha, expected_x, expected_a",
+    [([-1.0, -2.0, -3.0], [1, 1, 0], 0.871094), ([1.0, 2.0, 3.0], [0, 1, 1], 47.560130)],
+)
+def test_subnormal_gamma_keeps_the_true_optimum(alpha, expected_x, expected_a):
+    # alpha / gamma overflows at gamma = 1e-310; rho must tend to max theta
+    inst = toy_instance(alpha, [1.0, 1.0, 1.0], 2.0, gamma=1e-310)
+    for result in (brute_force_oracle(inst), branch_and_bound(inst)):
+        assert result.assortment.tolist() == expected_x
+        assert result.a_value == pytest.approx(expected_a, abs=1e-6)
+
+
 def test_revenue_upper_bound_chain():
     inst = toy_instance([0.0, 0.0], [1.0, 1.0], 1.0, gamma=0.5)
     assert revenue_upper_bound(inst) == pytest.approx(2.784645427610738, abs=1e-6)

@@ -67,8 +67,8 @@ def test_grasp_is_deterministic_and_feasible():
     assert np.array_equal(first.assortment, second.assortment)
     assert first.a_value == second.a_value
     assert is_feasible(inst, first.assortment)
-    assert 1 <= first.construction_rcl <= 4
-    assert first.improvement_count >= 0
+    assert 1 <= first.stats.construction_rcl <= 4
+    assert first.stats.improvement_count >= 0
 
 
 def test_grasp_never_beats_the_oracle():

@@ -8,6 +8,7 @@ from pclopt import (
     expected_revenue,
     lambert_w0,
     optimal_uniform_price,
+    price_for_a,
 )
 
 from conftest import random_feasible_assortment, random_instance, toy_instance
@@ -75,3 +76,9 @@ def test_price_formula_matches_lambert():
     price, revenue = optimal_uniform_price(inst, x)
     assert price == pytest.approx((1.0 + w) / inst.beta, rel=1e-14)
     assert revenue == pytest.approx(w / inst.beta, rel=1e-14)
+    assert price_for_a(a, inst.beta) == (price, revenue)
+    for a_bar in (0.0, 1e-9, 1.0, a, 1e9):
+        price, revenue = price_for_a(a_bar, inst.beta)
+        br, y = inst.beta * revenue, a_bar / math.e
+        assert abs(br * math.exp(br) - y) <= 1e-12 * max(1.0, y)
+        assert price == pytest.approx(revenue + 1.0 / inst.beta, rel=1e-14)
