@@ -48,8 +48,9 @@ FULL_SCALE_GRID = [
     (n, kappa) for n in (400, 600, 800, 1000) for kappa in (0.02, 0.04, 0.06)
 ]
 
-# beyond this size the node LPs stop paying for themselves; use the majorant
-_LP_BOUND_MAX_N = 150
+# largest n an exact solve may run without a node or time budget (the desk
+# grid stops at n = 100); the search's node count grows exponentially in n
+_UNBUDGETED_EXACT_MAX_N = 150
 
 
 @dataclass
@@ -146,7 +147,7 @@ class ExperimentRow:
 def _solve_one(task):
     """Run the requested methods on one generated instance; returns the log record."""
     (n, kappa, index, master_seed, methods, beta, integer_weights,
-     rcl_max, max_iter, node_budget, time_budget_s, bound_mode) = task
+     rcl_max, max_iter, node_budget, time_budget_s) = task
     seed = derive_seed(master_seed, n, kappa, index)
     instance = generate_instance(
         GeneratorConfig(n=n, kappa=kappa, seed=seed, beta=beta,
@@ -185,9 +186,7 @@ def _solve_one(task):
         record["grasp_a_value"] = result.a_value
         record["grasp_revenue"] = result.revenue
     if "exact" in methods:
-        mode = bound_mode or ("lp" if n <= _LP_BOUND_MAX_N else "majorant")
         config = BranchBoundConfig(
-            bound_mode=mode,
             node_budget=node_budget,
             time_budget_s=time_budget_s,
             grasp=grasp_config,
@@ -246,7 +245,6 @@ def run_experiment(
     grasp_max_iter: int = 80,
     node_budget: int | None = 50_000,
     time_budget_s: float | None = None,
-    bound_mode: str | None = None,
     log_path=None,
     jobs: int = 1,
     progress=None,
@@ -268,7 +266,7 @@ def run_experiment(
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
     if "exact" in methods and node_budget is None and time_budget_s is None:
-        if any(n > _LP_BOUND_MAX_N for n, _ in grid):
+        if any(n > _UNBUDGETED_EXACT_MAX_N for n, _ in grid):
             raise ValueError(
                 "exact solves on large instances require a node or time budget"
             )
@@ -282,8 +280,7 @@ def run_experiment(
         for n, kappa in grid:
             tasks = [
                 (n, kappa, index, master_seed, methods, beta, integer_weights,
-                 grasp_rcl_max, grasp_max_iter, node_budget, time_budget_s,
-                 bound_mode)
+                 grasp_rcl_max, grasp_max_iter, node_budget, time_budget_s)
                 for index in range(instances_per_combo)
             ]
             if pool is not None:

@@ -66,7 +66,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget-seconds", type=float, default=None)
     p.add_argument("--node-budget", type=int, default=None)
-    p.add_argument("--bound-mode", choices=["lp", "majorant"], default="lp")
     p.add_argument("--out")
 
     p = sub.add_parser("evaluate", help="choice probabilities and expected revenue")
@@ -171,7 +170,6 @@ def _cmd_solve(args) -> int:
         result = lp_bound_answer(instance)
     else:  # exact
         config = BranchBoundConfig(
-            bound_mode=args.bound_mode,
             node_budget=args.node_budget,
             time_budget_s=args.budget_seconds,
             grasp=GraspConfig(rcl_max=args.rcl_max, max_iter=args.max_iter, seed=args.seed),

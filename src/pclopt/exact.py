@@ -14,12 +14,13 @@ Three routes to the optimum / bounds on it:
 * ``lp_bound_answer`` is the bound-only answer: no assortment, the LP
   bound as ``upper_bound``, priced as if that A were attained, which gives
   ``revenue_upper_bound``.
-* ``branch_and_bound`` proves optimality over binary x, pruning nodes with
-  a cheap fractional-knapsack majorant first and the node LP second, with
-  the incumbent seeded by greedy and GRASP.
+* ``branch_and_bound`` proves optimality over binary x, bounding every
+  node with the fractional-knapsack majorant of its free products (the mu
+  terms of the fixed-on products folded in), with the incumbent seeded by
+  greedy and GRASP.
 
-``knapsack_majorant_bound`` is the root version of the cheap bound:
-dropping the nonpositive mu terms leaves (n-1) sum theta_i x_i, whose
+``knapsack_majorant_bound`` is the root version of that bound: dropping
+the nonpositive mu terms leaves (n-1) sum theta_i x_i, whose
 fractional-knapsack optimum dominates the LP bound and hence A(x*).
 """
 
@@ -39,8 +40,7 @@ from .pricing import SolveResult, SolveStats, optimal_uniform_price, price_for_a
 
 _BRUTE_FORCE_MAX_N = 22
 _CHUNK_BITS = 16
-# inflate relaxation bounds so float noise can never prune the true optimum
-_LP_SAFETY = 1e-7
+# inflate majorant bounds so float noise can never prune the true optimum
 _MAJORANT_SAFETY = 1e-9
 # a relaxed value this close to 0 or 1 counts as integral
 _INTEGRALITY_TOL = 1e-6
@@ -58,15 +58,10 @@ class LpSolution:
 
 @dataclass
 class BranchBoundConfig:
-    bound_mode: str = "lp"  # "lp" or "majorant"
     node_budget: int | None = None
     time_budget_s: float | None = None
     grasp: GraspConfig = field(default_factory=GraspConfig)
     record_bound_history: bool = False
-
-    def __post_init__(self):
-        if self.bound_mode not in ("lp", "majorant"):
-            raise ValueError("bound_mode must be 'lp' or 'majorant'")
 
 
 def _fractional_knapsack(values, weights, capacity):
@@ -108,22 +103,19 @@ def knapsack_majorant_bound(instance: Instance) -> float:
     return (instance.n - 1) * best
 
 
-def _lp_bound(instance: Instance, lb: np.ndarray, ub: np.ndarray):
-    """LP relaxation with per-product bounds, by lazy pair-row generation.
+def lp_relaxation(instance: Instance) -> LpSolution:
+    """Optimal LP relaxation; its objective bounds A(x) for all feasible x.
 
-    Pairs (mu < 0) enter the restricted LP only once the current solution
-    violates x_i + x_j <= 1; when no uncovered pair is violated, the
-    restricted optimum equals the full LP optimum.  Returns the canonical
-    full objective, the x part of the solution, and the solver-call count.
+    Solved by lazy pair-row generation: pairs (mu < 0) enter the restricted
+    LP only once the current solution violates x_i + x_j <= 1; when no
+    uncovered pair is violated, the restricted optimum equals the full LP
+    optimum.  The reported objective is the canonical full one.
     """
     n = instance.n
     I, J = instance.pair_i, instance.pair_j
     coeffs = coefficients(instance)
     lin_costs, mu = coeffs.lin_costs, coeffs.mu
     included = np.zeros(mu.size, dtype=bool)
-    # pairs fixed on at both ends are always violated; seed them
-    fixed_on = lb == 1
-    included |= (mu < 0) & fixed_on[I] & fixed_on[J]
 
     solves = 0
     for _ in range(mu.size + 2):
@@ -144,28 +136,20 @@ def _lp_bound(instance: Instance, lb: np.ndarray, ub: np.ndarray):
         )
         a_ub = sp.csr_matrix((val, (row, col)), shape=(1 + k, n + k))
         b_ub = np.concatenate([[instance.capacity], np.ones(k)])
-        bounds = [(float(lb[i]), float(ub[i])) for i in range(n)] + [(0.0, 1.0)] * k
-        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs")
         solves += 1
         if res.status != 0:
             raise RuntimeError(f"LP solve failed with status {res.status}: {res.message}")
         x = res.x[:n]
         violated = (mu < -1e-15) & ~included & (x[I] + x[J] - 1.0 > 1e-12)
         if not violated.any():
-            y_full = np.maximum(0.0, x[I] + x[J] - 1.0)
-            objective = float(lin_costs @ x + mu @ y_full)
-            return objective, x, solves
+            y = np.maximum(0.0, x[I] + x[J] - 1.0)
+            return LpSolution(
+                x_frac=x, y_frac=y, objective_value=float(lin_costs @ x + mu @ y),
+                lp_solves=solves,
+            )
         included |= violated
     raise RuntimeError("pair-row generation failed to converge")
-
-
-def lp_relaxation(instance: Instance) -> LpSolution:
-    """Optimal LP relaxation; its objective bounds A(x) for all feasible x."""
-    lb = np.zeros(instance.n, dtype=np.int8)
-    ub = np.ones(instance.n, dtype=np.int8)
-    objective, x, solves = _lp_bound(instance, lb, ub)
-    y = np.maximum(0.0, x[instance.pair_i] + x[instance.pair_j] - 1.0)
-    return LpSolution(x_frac=x, y_frac=y, objective_value=objective, lp_solves=solves)
 
 
 def lp_bound_answer(instance: Instance) -> SolveResult:
@@ -255,11 +239,12 @@ def branch_and_bound(
 ) -> SolveResult:
     """Exact maximizer of A(x) over feasible assortments.
 
-    Depth-first search branching on the most fractional product of the node
-    relaxation (include-branch explored first).  Every node is bounded by the
-    fractional-knapsack majorant with the mu interactions of the fixed-on
-    products folded in; in "lp" mode the node LP tightens bounds that the
-    majorant cannot prune.  The incumbent starts from greedy and GRASP.
+    Depth-first search branching on the fractional product of the node's
+    knapsack fill (include-branch explored first).  Every node is bounded by
+    the fractional-knapsack majorant with the mu interactions of the
+    fixed-on products folded in.  A node closes when its bound cannot beat
+    the incumbent, or when its fill is integral, feasible and attains the
+    majorant.  The incumbent starts from greedy and GRASP.
 
     Exhausting the node or time budget returns status "feasible" with the
     best incumbent and the tightest global bound still open.
@@ -291,11 +276,12 @@ def branch_and_bound(
     stack: list[tuple[np.ndarray, np.ndarray, float]] = [(lb0, ub0, root_bound)]
     stopped = False
 
-    def maybe_update(x_cand: np.ndarray) -> None:
+    def maybe_update(x_cand: np.ndarray) -> float:
         nonlocal inc_x, inc_a
         a = a_value(instance, x_cand)
         if a > inc_a or (a == inc_a and tie_break_prefer(x_cand, inc_x)):
             inc_x, inc_a = x_cand, a
+        return a
 
     while stack:
         if config.node_budget is not None and stats.nodes >= config.node_budget:
@@ -346,29 +332,16 @@ def branch_and_bound(
                 stats.bound_history.append(_global_bound(inc_a, stack))
             continue
 
-        if config.bound_mode == "lp":
-            lp_obj, x_rel, solves = _lp_bound(instance, lb, ub)
-            stats.lp_solves += solves
-            bound = min(bound, lp_obj + _LP_SAFETY * max(1.0, abs(lp_obj)))
-            if bound <= inc_a + prune_tol:
-                if stats.bound_history is not None:
-                    stats.bound_history.append(_global_bound(inc_a, stack))
-                continue
-        else:
-            x_rel = lb.astype(float)
-            x_rel[free_idx] = fill
-
+        x_rel = lb.astype(float)
+        x_rel[free_idx] = fill
         fractionality = np.where(free, np.minimum(x_rel, 1.0 - x_rel), -1.0)
         branch_var = int(np.argmax(fractionality))
 
         if fractionality[branch_var] <= _INTEGRALITY_TOL:
             x_int = np.where(x_rel > 0.5, 1, 0).astype(np.int8)
             if float(weights @ x_int.astype(float)) <= instance.capacity:
-                maybe_update(x_int)
-                if config.bound_mode == "lp" or bound <= inc_a + _PRUNE_REL_TOL * max(
-                    1.0, abs(inc_a)
-                ):
-                    # integral LP optimum closes the subtree
+                # a fill attaining the raw majorant is optimal in the subtree
+                if maybe_update(x_int) >= majorant - prune_tol:
                     if stats.bound_history is not None:
                         stats.bound_history.append(_global_bound(inc_a, stack))
                     continue

@@ -27,20 +27,33 @@ from .objective import a_value
 
 _RESIDUAL_TOL = 1e-14
 _MAX_ITER = 50
+# the Halley step's e^w (w + 1) overflows from about y = 3.7e302 (leaving w
+# stuck at its start); above this y the log form is solved instead
+_LOG_SPACE_MIN_Y = 1e300
 
 
 def lambert_w0(y: float) -> float:
     """Principal-branch Lambert W on y >= 0: the w >= 0 with w e^w = y.
 
     Halley iteration from w0 = log(1 + y); converges to residual
-    |w e^w - y| <= 1e-14 max(1, y) in a handful of steps anywhere on the
-    nonnegative ray.
+    |w e^w - y| <= 1e-14 max(1, y) in a handful of steps.  Above y = 1e300,
+    where that step nears float overflow, Newton's method solves the log
+    form w + log w = log y instead.
     """
     y = float(y)
     if math.isnan(y) or y < 0:
         raise ValueError("lambert_w0 is defined here for y >= 0 only")
     if y == 0.0:
         return 0.0
+    if y > _LOG_SPACE_MIN_Y:
+        log_y = math.log(y)
+        w = log_y - math.log(log_y)
+        for _ in range(_MAX_ITER):
+            step = (w + math.log(w) - log_y) * w / (w + 1.0)
+            w -= step
+            if abs(step) <= _RESIDUAL_TOL * w:
+                break
+        return w
     w = math.log1p(y)
     for _ in range(_MAX_ITER):
         ew = math.exp(w)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -56,6 +57,17 @@ def test_generate_rejects_bad_kappa(capsys):
 def test_unknown_flag_produces_error_envelope(capsys):
     code, _, err = run_cli(["generate", "--n", "5", "--frobnicate"], capsys)
     assert code == 2
+    assert json.loads(err)["code"] == "bad-arguments"
+
+
+def test_solve_rejects_the_deleted_lp_bounding_flag(tmp_path, capsys):
+    path = write_instance(tmp_path, capsys, n=6)
+    code, out, err = run_cli(
+        ["solve", "--instance", str(path), "--method", "exact", "--bound-mode", "lp"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
     assert json.loads(err)["code"] == "bad-arguments"
 
 
@@ -152,20 +164,37 @@ def test_solve_prints_the_library_answer(tmp_path, capsys, method, solver):
     assert printed == expected
 
 
-@pytest.mark.parametrize("method", ["lp-bound", "exact"])
-def test_solver_failure_is_an_error_envelope(tmp_path, capsys, method):
-    # exp(705) in the LP costs makes HiGHS give up with an unknown status
+def write_huge_instance(tmp_path):
+    # theta = exp(705): A(x) ~ 1e307, near the top of the float range
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({
         "n": 5, "alpha": [705.0] * 5, "weights": [1, 2, 3, 4, 5], "capacity": 6,
         "beta": 0.1, "gamma_upper": [0.5] * 10,
     }))
+    return path
+
+
+@pytest.mark.parametrize("method", ["lp-bound"])
+def test_solver_failure_is_an_error_envelope(tmp_path, capsys, method):
+    # exp(705) in the LP costs makes HiGHS give up with an unknown status
+    path = write_huge_instance(tmp_path)
     code, out, err = run_cli(["solve", "--instance", str(path), "--method", method], capsys)
     assert code == 1
     assert out == ""
     envelope = json.loads(err)
     assert envelope["code"] == "solver-failed"
     assert envelope["path"] is None
+
+
+@pytest.mark.parametrize("method", ["exact", "greedy", "brute-force"])
+def test_overflowing_alpha_gets_a_finite_answer(tmp_path, capsys, method):
+    path = write_huge_instance(tmp_path)
+    code, out, _ = run_cli(["solve", "--instance", str(path), "--method", method], capsys)
+    assert code == 0
+    payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"printed {name}"))
+    assert payload["a_value"] > 1e306
+    assert math.isfinite(payload["price"]) and math.isfinite(payload["revenue"])
+    assert payload["price"] == pytest.approx(payload["revenue"] + 10.0, rel=1e-12)
 
 
 def test_solve_budget_exhaustion_is_not_an_error(tmp_path, capsys):

@@ -32,17 +32,29 @@ def test_formulation_shapes_and_signs():
 
 def test_brute_force_tie_breaks_toward_product_one():
     inst = toy_instance([0.0, 0.0], [1.0, 1.0], 1.0, gamma=0.5)
-    result = brute_force_oracle(inst)
-    assert result.assortment.tolist() == [1, 0]
-    assert result.a_value == pytest.approx(1.0, abs=1e-12)
-    assert result.status == "optimal"
+    for solver in (brute_force_oracle, branch_and_bound):
+        result = solver(inst)
+        assert result.assortment.tolist() == [1, 0]
+        assert result.a_value == pytest.approx(1.0, abs=1e-12)
+        assert result.status == "optimal"
 
 
 def test_brute_force_prefers_the_pair_when_it_fits():
     inst = toy_instance([0.0, 0.0], [1.0, 1.0], 2.0, gamma=0.5)
-    result = brute_force_oracle(inst)
-    assert result.assortment.tolist() == [1, 1]
-    assert result.a_value == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    for solver in (brute_force_oracle, branch_and_bound):
+        result = solver(inst)
+        assert result.assortment.tolist() == [1, 1]
+        assert result.a_value == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_exact_ties_resolve_toward_low_indices(gamma):
+    # four identical products, room for two: every pair attains the optimum
+    inst = toy_instance([0.0] * 4, [1.0] * 4, 2.0, gamma=gamma)
+    for solver in (brute_force_oracle, branch_and_bound):
+        result = solver(inst)
+        assert result.assortment.tolist() == [1, 1, 0, 0]
+        assert result.status == "optimal"
 
 
 def test_brute_force_refuses_large_instances():
@@ -102,14 +114,13 @@ def test_majorant_bound_cases_and_chain():
         assert lp.objective_value >= oracle.a_value - 1e-8
 
 
-@pytest.mark.parametrize("bound_mode", ["lp", "majorant"])
-def test_branch_and_bound_matches_oracle(bound_mode):
+def test_branch_and_bound_matches_oracle():
     rng = np.random.default_rng(14)
     for _ in range(25):
         n = int(rng.integers(4, 13))
         inst = random_instance(int(rng.integers(2**32)), n=n)
         oracle = brute_force_oracle(inst)
-        result = branch_and_bound(inst, BranchBoundConfig(bound_mode=bound_mode))
+        result = branch_and_bound(inst)
         assert result.status == "optimal"
         assert result.a_value == oracle.a_value
         assert np.array_equal(result.assortment, oracle.assortment)

@@ -24,6 +24,15 @@ def test_residual_bound_over_wide_range():
     assert lambert_w0(1e-300) > 0.0
 
 
+def test_log_form_residual_near_float_max():
+    # w e^w overflows here; w + log w = log y is the residual that stays finite
+    ys = np.concatenate([np.logspace(295, 308, 400), [1e300, 1.7976931348623157e308]])
+    for y in ys:
+        w = lambert_w0(float(y))
+        assert math.isfinite(w) and w > 0.0
+        assert abs(w + math.log(w) - math.log(y)) <= 1e-14 * math.log(y)
+
+
 def test_matches_reference_implementation():
     for y in np.logspace(-8, 8, 100):
         assert lambert_w0(float(y)) == pytest.approx(
