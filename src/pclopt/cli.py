@@ -27,7 +27,8 @@ from .bench import (
     run_experiment,
 )
 from .choice import choice_probabilities, expected_revenue, simulate_choice
-from .exact import BranchBoundConfig, branch_and_bound, brute_force_oracle, lp_bound_answer
+from .exact import (BranchBoundConfig, InstanceTooLarge, branch_and_bound,
+                    brute_force_oracle, lp_bound_answer)
 from .heuristics import GraspConfig, grasp, greedy
 from .instance import Instance, ValidationError, validate_assortment, validate_prices
 
@@ -158,23 +159,18 @@ def _cmd_solve(args) -> int:
     t0 = time.perf_counter()
     if args.method == "greedy":
         result = greedy(instance)
-    elif args.method == "grasp":
-        config = GraspConfig(rcl_max=args.rcl_max, max_iter=args.max_iter, seed=args.seed)
-        result = grasp(instance, config)
     elif args.method == "brute-force":
         try:
             result = brute_force_oracle(instance)
-        except ValueError as exc:
+        except InstanceTooLarge as exc:
             raise CliError("instance-too-large", str(exc)) from exc
     elif args.method == "lp-bound":
         result = lp_bound_answer(instance)
-    else:  # exact
-        config = BranchBoundConfig(
-            node_budget=args.node_budget,
-            time_budget_s=args.budget_seconds,
-            grasp=GraspConfig(rcl_max=args.rcl_max, max_iter=args.max_iter, seed=args.seed),
-        )
-        result = branch_and_bound(instance, config)
+    else:  # grasp, and exact, whose search starts from the GRASP answer
+        result = grasp(instance, GraspConfig(args.rcl_max, args.max_iter, args.seed))
+        if args.method == "exact":
+            config = BranchBoundConfig(args.node_budget, args.budget_seconds)
+            result = branch_and_bound(instance, config, result.assortment)
     result.stats.wall_time_s = time.perf_counter() - t0
     _dump(result.to_dict(), args.out)
     return 0
@@ -295,7 +291,7 @@ def dispatch(argv) -> int:
         return _fail("invalid-instance", str(exc), exc.path, 2)
     except ValueError as exc:
         return _fail("bad-arguments", str(exc), None, 2)
-    except RuntimeError as exc:  # a solver gave up, e.g. HiGHS on an overflowing LP
+    except (RuntimeError, OverflowError) as exc:  # a solver gave up, or A overflowed
         return _fail("solver-failed", str(exc), None, 1)
 
 

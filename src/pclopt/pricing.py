@@ -38,11 +38,13 @@ def lambert_w0(y: float) -> float:
     Halley iteration from w0 = log(1 + y); converges to residual
     |w e^w - y| <= 1e-14 max(1, y) in a handful of steps.  Above y = 1e300,
     where that step nears float overflow, Newton's method solves the log
-    form w + log w = log y instead.
+    form w + log w = log y instead.  y = inf raises OverflowError.
     """
     y = float(y)
     if math.isnan(y) or y < 0:
         raise ValueError("lambert_w0 is defined here for y >= 0 only")
+    if y == math.inf:
+        raise OverflowError("the A(x) being priced overflows the float range")
     if y == 0.0:
         return 0.0
     if y > _LOG_SPACE_MIN_Y:
@@ -68,7 +70,7 @@ def price_for_a(a: float, beta: float) -> tuple[float, float]:
     """(price, revenue) of the best uniform price when A(x) = a.
 
     A = 0 yields price 1/beta and revenue 0, the continuous limit of the
-    formulas.
+    formulas.  An A that overflowed to inf raises OverflowError.
     """
     w = lambert_w0(a / math.e)
     return (1.0 + w) / beta, w / beta

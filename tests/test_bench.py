@@ -4,6 +4,9 @@ import json
 import numpy as np
 import pytest
 
+import pclopt.bench
+import pclopt.exact
+import pclopt.heuristics
 from pclopt import (
     ExperimentRow,
     GeneratorConfig,
@@ -147,6 +150,21 @@ def test_run_experiment_empty_methods_and_validation(tmp_path):
 def test_run_experiment_builds_coefficients_once_per_instance(coefficient_builds):
     run_experiment([(20, 0.04)], 1, METHODS, 0)
     assert len(coefficient_builds) == 1
+
+
+def test_run_experiment_runs_each_heuristic_once_per_instance(monkeypatch):
+    calls = {"greedy": 0, "grasp": 0}
+    for name in calls:
+        original = getattr(pclopt.heuristics, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (pclopt.bench, pclopt.exact):
+            monkeypatch.setattr(module, name, counting)
+    run_experiment([(20, 0.04)], 1, METHODS, 0)
+    assert calls == {"greedy": 1, "grasp": 1}
 
 
 def test_run_experiment_partial_methods():

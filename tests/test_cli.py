@@ -154,7 +154,11 @@ def test_solve_lp_bound_reports_every_lp_solve(tmp_path, capsys, monkeypatch):
 )
 def test_solve_prints_the_library_answer(tmp_path, capsys, method, solver):
     path = write_instance(tmp_path, capsys, n=12, kappa=0.25)
-    result = solver(Instance.from_dict(json.loads(path.read_text())))
+    instance = Instance.from_dict(json.loads(path.read_text()))
+    if method == "exact":  # the CLI starts the search from the GRASP answer
+        result = solver(instance, incumbent=grasp(instance).assortment)
+    else:
+        result = solver(instance)
     assert isinstance(result, SolveResult)
     code, out, _ = run_cli(["solve", "--instance", str(path), "--method", method], capsys)
     assert code == 0
@@ -164,11 +168,11 @@ def test_solve_prints_the_library_answer(tmp_path, capsys, method, solver):
     assert printed == expected
 
 
-def write_huge_instance(tmp_path):
+def write_huge_instance(tmp_path, alpha=705.0):
     # theta = exp(705): A(x) ~ 1e307, near the top of the float range
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({
-        "n": 5, "alpha": [705.0] * 5, "weights": [1, 2, 3, 4, 5], "capacity": 6,
+        "n": 5, "alpha": [alpha] * 5, "weights": [1, 2, 3, 4, 5], "capacity": 6,
         "beta": 0.1, "gamma_upper": [0.5] * 10,
     }))
     return path
@@ -195,6 +199,33 @@ def test_overflowing_alpha_gets_a_finite_answer(tmp_path, capsys, method):
     assert payload["a_value"] > 1e306
     assert math.isfinite(payload["price"]) and math.isfinite(payload["revenue"])
     assert payload["price"] == pytest.approx(payload["revenue"] + 10.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("method", ["exact", "greedy", "brute-force"])
+def test_largest_finite_alpha_keeps_its_answer(tmp_path, capsys, method):
+    # at alpha = 707 the best A is 1.14e308, just below the float maximum
+    path = write_huge_instance(tmp_path, alpha=707.0)
+    code, out, _ = run_cli(["solve", "--instance", str(path), "--method", method], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["assortment"] == [1, 1, 1, 0, 0]
+    assert payload["a_value"] == 1.1392279815175453e308
+    assert payload["price"] == 7027.729495479501
+
+
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the test
+@pytest.mark.parametrize("alpha", [708.0, 710.0])
+@pytest.mark.parametrize("method", ["exact", "brute-force", "greedy", "grasp", "lp-bound"])
+def test_overflow_is_one_solver_failed_envelope(tmp_path, capsys, method, alpha):
+    # at 708 the best A overflows to inf; at 710 theta = exp(alpha) does
+    path = write_huge_instance(tmp_path, alpha=alpha)
+    code, out, err = run_cli(["solve", "--instance", str(path), "--method", method], capsys)
+    assert code == 1
+    assert out == ""
+    envelope = json.loads(err)
+    assert envelope["code"] == "solver-failed"
+    if method != "lp-bound":  # HiGHS gives up on the 708 LP before anything overflows
+        assert "overflow" in envelope["message"]
 
 
 def test_solve_budget_exhaustion_is_not_an_error(tmp_path, capsys):

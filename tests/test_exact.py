@@ -120,12 +120,14 @@ def test_branch_and_bound_matches_oracle():
         n = int(rng.integers(4, 13))
         inst = random_instance(int(rng.integers(2**32)), n=n)
         oracle = brute_force_oracle(inst)
-        result = branch_and_bound(inst)
-        assert result.status == "optimal"
-        assert result.a_value == oracle.a_value
-        assert np.array_equal(result.assortment, oracle.assortment)
-        assert result.a_value <= result.upper_bound + 1e-8
-        assert abs(result.revenue - lambert_w0(result.a_value / math.e) / inst.beta) <= 1e-10
+        # from the empty assortment and from the GRASP answer
+        for incumbent in (None, grasp(inst).assortment):
+            result = branch_and_bound(inst, incumbent=incumbent)
+            assert result.status == "optimal"
+            assert result.a_value == oracle.a_value
+            assert np.array_equal(result.assortment, oracle.assortment)
+            assert result.a_value <= result.upper_bound + 1e-8
+            assert abs(result.revenue - lambert_w0(result.a_value / math.e) / inst.beta) <= 1e-10
 
 
 def test_branch_and_bound_linear_case_is_easy():
@@ -141,21 +143,32 @@ def test_branch_and_bound_linear_case_is_easy():
 def test_branch_and_bound_budget_exhaustion():
     inst = random_instance(99, n=14, kappa=0.4)
     config = BranchBoundConfig(node_budget=1)
-    result = branch_and_bound(inst, config)
+    seeded = grasp(inst)
+    result = branch_and_bound(inst, config, incumbent=seeded.assortment)
     assert result.status == "feasible"
     assert result.a_value <= result.upper_bound + 1e-8
-    # the incumbent is still seeded by the heuristics
-    seeded = grasp(inst, config.grasp)
+    # the incumbent is still the one the heuristic seeded
     assert result.a_value >= seeded.a_value
 
 
 def test_branch_and_bound_incumbent_never_below_heuristics():
     for seed in range(8):
         inst = random_instance(seed + 800)
-        config = BranchBoundConfig(grasp=GraspConfig(seed=seed))
-        result = branch_and_bound(inst, config)
-        assert result.a_value >= grasp(inst, config.grasp).a_value
+        seeded = grasp(inst, GraspConfig(seed=seed))
+        result = branch_and_bound(inst, incumbent=seeded.assortment)
+        assert result.a_value >= seeded.a_value
         assert result.a_value >= greedy(inst).a_value
+
+
+@pytest.mark.parametrize(
+    "incumbent",
+    [[1, 1, 1, 1], [1, 1, 0], [1, 2, 0, 0]],
+    ids=["over-capacity", "wrong-length", "not-binary"],
+)
+def test_branch_and_bound_rejects_a_bad_incumbent(incumbent):
+    inst = toy_instance([0.0] * 4, [1.0] * 4, 2.0, gamma=0.5)
+    with pytest.raises(ValueError):
+        branch_and_bound(inst, incumbent=incumbent)
 
 
 def test_branch_and_bound_global_bound_is_monotone():

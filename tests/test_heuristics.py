@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from pclopt import (
+    GeneratorConfig,
     GraspConfig,
     a_value,
     brute_force_oracle,
+    generate_instance,
     grasp,
     greedy,
     is_feasible,
 )
+from pclopt.heuristics import _construct, _ratio_order
 
 from conftest import random_instance, toy_instance
 
@@ -100,3 +103,77 @@ def test_config_validation():
         GraspConfig(max_iter=-1)
     with pytest.raises(ValueError):
         GraspConfig(seed=-3)
+
+
+_PINNED = {
+    # offered products of greedy, of GRASP (rcl_max=5, max_iter=80, seed=3)
+    # and of each rcl = 1..5 construction, with the A values and the RNG's
+    # next draw after each construction, as recorded before the construction
+    # was vectorized
+    "real-weights": dict(
+        greedy=([0, 6, 7, 13, 23, 26, 29, 31, 32], 1330.736351191984),
+        grasp=([0, 6, 7, 13, 23, 26, 29, 31, 32], 1330.736351191984, 1, 1),
+        rounds=[
+            [0, 6, 7, 13, 23, 26, 29, 31, 32],
+            [0, 1, 7, 12, 13, 23, 26, 29, 31, 32],
+            [0, 6, 7, 13, 23, 26, 29, 31, 32],
+            [0, 6, 7, 12, 13, 20, 26, 29, 31, 32],
+            [0, 6, 7, 12, 23, 26, 29, 31, 32],
+        ],
+        next_draws=[978, 775, 835, 64, 690],
+    ),
+    "integer-weights": dict(
+        greedy=([10, 14, 19, 28, 29, 35, 38, 40, 41, 49, 52], 2081.2142667715243),
+        grasp=([10, 14, 19, 28, 29, 35, 38, 40, 41, 49, 52], 2081.2142667715243, 1, 2),
+        rounds=[
+            [10, 14, 19, 28, 29, 35, 38, 40, 41, 49, 52],
+            [10, 14, 19, 28, 29, 35, 38, 40, 41, 49, 52],
+            [13, 14, 19, 28, 29, 35, 38, 40, 41, 49, 52],
+            [10, 14, 19, 28, 29, 35, 38, 40, 41, 49, 52],
+            [10, 14, 28, 29, 35, 38, 39, 40, 41, 49, 52],
+        ],
+        next_draws=[978, 775, 553, 712, 179],
+    ),
+    "ratio-ties": dict(
+        greedy=([0, 1, 2, 3, 6], 121.31267338845541),
+        grasp=([0, 1, 2, 6, 8], 121.31267338845542, 3, 1),
+        rounds=[[0, 1, 2, 3, 6], [0, 1, 2, 3, 6], [0, 1, 2, 6, 8], [0, 1, 2, 3, 6], [0, 1, 6, 7, 9]],
+        next_draws=[978, 813, 999, 117, 898],
+    ),
+}
+
+
+def _pinned_instance(name):
+    if name == "real-weights":
+        return generate_instance(GeneratorConfig(n=40, kappa=0.1, seed=11))
+    if name == "integer-weights":
+        return generate_instance(
+            GeneratorConfig(n=60, kappa=0.06, seed=12, integer_weights=True)
+        )
+    # ratios 2, 2, 2, 2, 1, 2, 3, 1, 2, 2: most picks are decided by index
+    return toy_instance(
+        np.log([4, 2, 4, 2, 3, 6, 3, 1, 2, 4]), [2, 1, 2, 1, 3, 3, 1, 1, 1, 2], 7.0, gamma=0.6
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_construction_picks_and_draws_are_pinned(name):
+    inst = _pinned_instance(name)
+    pinned = _PINNED[name]
+    g = greedy(inst)
+    assert (np.flatnonzero(g.assortment).tolist(), g.a_value) == pinned["greedy"]
+    best = grasp(inst, GraspConfig(rcl_max=5, max_iter=80, seed=3))
+    assert (
+        np.flatnonzero(best.assortment).tolist(),
+        best.a_value,
+        best.stats.construction_rcl,
+        best.stats.improvement_count,
+    ) == pinned["grasp"]
+    order = _ratio_order(inst)
+    rounds, next_draws = [], []
+    for rcl in range(1, 6):
+        rng = np.random.default_rng((3, rcl))
+        rounds.append(np.flatnonzero(_construct(inst, order, rcl, rng)).tolist())
+        next_draws.append(int(rng.integers(1000)))
+    assert rounds == pinned["rounds"]
+    assert next_draws == pinned["next_draws"]

@@ -51,3 +51,9 @@ def test_rejects_negative_and_nan():
         lambert_w0(-1e-9)
     with pytest.raises(ValueError):
         lambert_w0(float("nan"))
+
+
+def test_infinite_argument_is_an_overflow():
+    # an A(x) that overflowed must not be priced as NaN
+    with pytest.raises(OverflowError):
+        lambert_w0(math.inf)
