@@ -18,7 +18,6 @@ from .choice import (
     ChoiceDistribution,
     choice_probabilities,
     expected_revenue,
-    preference_weight,
     simulate_choice,
 )
 from .exact import (
@@ -97,7 +96,6 @@ __all__ = [
     "pair_count",
     "pair_index",
     "pair_members",
-    "preference_weight",
     "price_for_a",
     "revenue_upper_bound",
     "run_experiment",

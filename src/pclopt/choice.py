@@ -8,10 +8,13 @@ v_i = exp(alpha_i - beta p_i):
     q^ij   = V_ij^gamma_ij / (1 + sum over pairs of V^gamma)
     q_i^ij = v_i^(1/gamma_ij) x_i / V_ij          (0 when the nest is empty)
     q_i    = sum over pairs containing i of q^ij q_i^ij
-    q_0    = 1 - sum over pairs of q^ij
+    q_0    = 1 / (1 + sum over pairs of V^gamma)
 
-Nest terms are evaluated in log space, exp(gamma * logaddexp(a_i/gamma,
-a_j/gamma)), so small gammas or large utilities do not overflow.
+At zero prices the pair sum of V^gamma is the objective A(x), and the
+objective's pair coefficients and these probabilities both take log V^gamma
+from ``log_nest_value``, which never forms alpha/gamma.  The probabilities
+are normalized against the largest log nest value, so tiny (even subnormal)
+gammas and large utilities neither overflow nor underflow.
 """
 
 from __future__ import annotations
@@ -22,17 +25,19 @@ import numpy as np
 
 from .instance import Instance, validate_assortment, validate_prices
 
-# exp() saturates instead of overflowing to inf
-_MAX_EXPONENT = 709.0
 
+def log_nest_value(a_i: np.ndarray, a_j: np.ndarray, gam: np.ndarray) -> np.ndarray:
+    """log (e^(a_i/gam) + e^(a_j/gam))^gam per pair, as
+    max(a_i, a_j) + gam log1p(exp(-|a_i - a_j| / gam)).
 
-def preference_weight(alpha_i: float, beta: float, price: float) -> float:
-    """Preference weight v_i = exp(alpha_i - beta * price), overflow-guarded."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if price < 0:
-        raise ValueError("price must be nonnegative")
-    return float(np.exp(min(alpha_i - beta * price, _MAX_EXPONENT)))
+    Works in place (4 MB per pair array at n = 1000): a_i is overwritten.
+    """
+    with np.errstate(over="ignore"):  # a / gam would overflow at tiny gam
+        log_v = np.abs(a_i - a_j) / -gam
+    np.logaddexp(0.0, log_v, out=log_v)
+    log_v *= gam
+    log_v += np.maximum(a_i, a_j, out=a_i)
+    return log_v
 
 
 @dataclass
@@ -51,31 +56,23 @@ def _pair_quantities(instance: Instance, prices: np.ndarray, x: np.ndarray):
     the two members (both zero when the nest offers nothing).
     """
     I, J = instance.pair_i, instance.pair_j
-    gam = instance.gamma_upper
     a = instance.alpha - instance.beta * prices
     on = x.astype(bool)
     on_i, on_j = on[I], on[J]
-    both = on_i & on_j
-
-    with np.errstate(over="ignore"):
-        nest_vals = np.where(
-            both,
-            np.exp(np.minimum(gam * np.logaddexp(a[I] / gam, a[J] / gam), _MAX_EXPONENT)),
-            np.where(on_i, np.exp(np.minimum(a[I], _MAX_EXPONENT)),
-                     np.where(on_j, np.exp(np.minimum(a[J], _MAX_EXPONENT)), 0.0)),
-        )
-        # share of member i in its nest: 1 / (1 + exp((a_j - a_i)/gamma))
-        within_i = np.where(
-            both,
-            1.0 / (1.0 + np.exp((a[J] - a[I]) / gam)),
-            np.where(on_i, 1.0, 0.0),
-        )
+    log_nest = np.where(on_i, a[I], np.where(on_j, a[J], -np.inf))
+    within_i = on_i.astype(float)
+    both = np.flatnonzero(on_i & on_j)
+    a_i, a_j, gam = a[I[both]], a[J[both]], instance.gamma_upper[both]
+    with np.errstate(over="ignore"):  # 1 / (1 + inf) = 0 is the right share
+        within_i[both] = 1.0 / (1.0 + np.exp((a_j - a_i) / gam))
+    log_nest[both] = log_nest_value(a_i, a_j, gam)
     within_j = np.where(on_i | on_j, 1.0 - within_i, 0.0)
 
-    denom = 1.0 + nest_vals.sum()
-    nest_probs = nest_vals / denom
-    no_purchase = 1.0 - nest_probs.sum()
-    return nest_probs, within_i, within_j, no_purchase
+    shift = max(0.0, float(log_nest.max()))
+    nest_vals = np.exp(log_nest - shift)
+    outside = np.exp(-shift)  # the no-purchase option's value, on the same scale
+    denom = outside + nest_vals.sum()
+    return nest_vals / denom, within_i, within_j, float(outside / denom)
 
 
 def choice_probabilities(instance: Instance, prices, x) -> ChoiceDistribution:
@@ -89,7 +86,7 @@ def choice_probabilities(instance: Instance, prices, x) -> ChoiceDistribution:
     I, J = instance.pair_i, instance.pair_j
     probs = np.bincount(I, weights=nest_probs * within_i, minlength=instance.n)
     probs += np.bincount(J, weights=nest_probs * within_j, minlength=instance.n)
-    return ChoiceDistribution(product_probs=probs, no_purchase=float(no_purchase))
+    return ChoiceDistribution(product_probs=probs, no_purchase=no_purchase)
 
 
 def expected_revenue(instance: Instance, prices, x) -> float:
@@ -115,8 +112,6 @@ def simulate_choice(
     nest_probs, within_i, _, no_purchase = _pair_quantities(instance, prices, x)
 
     outcome_probs = np.concatenate(([no_purchase], nest_probs))
-    outcome_probs = np.clip(outcome_probs, 0.0, None)
-    outcome_probs /= outcome_probs.sum()
 
     rng = np.random.default_rng(rng_seed)
     outcomes = rng.choice(outcome_probs.size, size=trials, p=outcome_probs)

@@ -80,19 +80,22 @@ def _fractional_knapsack(values, weights, capacity):
     order = np.lexsort((np.arange(m), -values / weights))
     total = 0.0
     remaining = capacity
-    for k in order:
-        if values[k] <= 0.0 or remaining <= 0.0:
-            break
-        if weights[k] <= remaining:
-            fill[k] = 1.0
-            total += values[k]
-            remaining -= weights[k]
-        else:
-            frac = remaining / weights[k]
-            fill[k] = frac
-            total += values[k] * frac
-            break
-    return total, fill
+    # an overflowing bound becomes inf silently (also in the callers' float
+    # arithmetic) and is refused when priced
+    with np.errstate(over="ignore"):
+        for k in order:
+            if values[k] <= 0.0 or remaining <= 0.0:
+                break
+            if weights[k] <= remaining:
+                fill[k] = 1.0
+                total += values[k]
+                remaining -= weights[k]
+            else:
+                frac = remaining / weights[k]
+                fill[k] = frac
+                total += values[k] * frac
+                break
+    return float(total), fill
 
 
 def knapsack_majorant_bound(instance: Instance) -> float:
@@ -119,12 +122,16 @@ def lp_relaxation(instance: Instance) -> LpSolution:
     coeffs = coefficients(instance)
     lin_costs, mu = coeffs.lin_costs, coeffs.mu
     included = np.zeros(mu.size, dtype=bool)
+    # HiGHS gives up or returns a wrong vertex on costs far from 1, so the
+    # largest cost is scaled into [1, 2) by a power of two: every mantissa
+    # and the optimal vertex are kept, and ldexp takes subnormal costs too
+    exponent = 1 - np.frexp(lin_costs.max())[1]
 
     solves = 0
     for _ in range(mu.size + 2):
         sel = np.flatnonzero(included)
         k = sel.size
-        cost = np.concatenate([-lin_costs, -mu[sel]])
+        cost = np.ldexp(np.concatenate([-lin_costs, -mu[sel]]), exponent)
         row = np.concatenate(
             [np.zeros(n, dtype=int),
              np.repeat(np.arange(1, k + 1), 3)]
@@ -147,9 +154,12 @@ def lp_relaxation(instance: Instance) -> LpSolution:
         violated = (mu < -1e-15) & ~included & (x[I] + x[J] - 1.0 > 1e-12)
         if not violated.any():
             y = np.maximum(0.0, x[I] + x[J] - 1.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                objective = float(lin_costs @ x + mu @ y)
+            if not np.isfinite(objective):
+                raise OverflowError("the LP bound overflows the float range")
             return LpSolution(
-                x_frac=x, y_frac=y, objective_value=float(lin_costs @ x + mu @ y),
-                lp_solves=solves,
+                x_frac=x, y_frac=y, objective_value=objective, lp_solves=solves
             )
         included |= violated
     raise RuntimeError("pair-row generation failed to converge")

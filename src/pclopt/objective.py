@@ -14,9 +14,10 @@ With mu_ij = rho_ij - theta_i - theta_j <= 0 this is identically
 
     A(x) = sum over i<j of (mu_ij x_i x_j + theta_i x_i + theta_j x_j)
 
-which is the quadratic form the exact solver linearizes.  rho is evaluated
-in log space without ever forming alpha/gamma, so tiny (even subnormal)
-gammas neither overflow nor underflow; pairs with gamma_ij == 1 get
+which is the quadratic form the exact solver linearizes.  rho is the nest
+value of the choice model at zero prices, evaluated in log space by
+``choice.log_nest_value`` without ever forming alpha/gamma, so tiny (even
+subnormal) gammas neither overflow nor underflow; pairs with gamma_ij == 1 get
 rho = theta_i + theta_j exactly, making mu exactly zero there.
 
 ``coefficients(instance)`` builds these arrays once per instance and caches
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .choice import log_nest_value
 from .instance import Instance, validate_assortment
 
 
@@ -49,17 +51,10 @@ class LinearizedCoefficients:
     def from_instance(cls, instance: Instance) -> "LinearizedCoefficients":
         I, J = instance.pair_i, instance.pair_j
         gam = instance.gamma_upper
-        a_i, a_j = instance.alpha[I], instance.alpha[J]
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
             theta = np.exp(instance.alpha)
-            # log rho = max(a_i, a_j) + gam log1p(exp(-|a_i - a_j| / gam)), in place
-            # (4 MB per pair array at n = 1000); a / gam would overflow at tiny gam
-            log_rho = np.abs(a_i - a_j) / -gam
-            np.logaddexp(0.0, log_rho, out=log_rho)
-            log_rho *= gam
-            log_rho += np.maximum(a_i, a_j, out=a_i)
+            log_rho = log_nest_value(instance.alpha[I], instance.alpha[J], gam)
             rho = np.exp(log_rho, out=log_rho)
-            del a_i, a_j
             unit = gam == 1.0
             rho[unit] = theta[I[unit]] + theta[J[unit]]
             # subadditivity of t -> t^gamma guarantees mu <= 0; clamp log/exp noise

@@ -24,6 +24,23 @@ def coefficient_builds(monkeypatch):
     return built
 
 
+# (alpha, gamma, offered, q, q0) at weights 1, C = 3, beta = 0.1 and zero prices
+EXTREME_CHOICE_CASES = [
+    # exp(a / gamma) overflows, and so does exp(a) for the nest sum
+    pytest.param([800.0, 800.0, 700.0], 0.5, [1, 1, 1], [0.5, 0.5, 0.0], 0.0,
+                 id="huge-utilities"),
+    # in the gamma -> 0 limit a nest is worth its best member:
+    # D = 1 + e^2 + 2 e^3, q = (0, e^2, 2 e^3) / D, q0 = 1 / D
+    pytest.param([1.0, 2.0, 3.0], 1e-310, [1, 1, 1],
+                 [0.0, 0.152163021541603, 0.827243952839925], 0.0205930256184717,
+                 id="subnormal-gamma"),
+    # pairs (0,1) and (0,2) hold one offered product each, (1,2) is worth e^3
+    pytest.param([1.0, 2.0, 3.0], 1e-310, [0, 1, 1],
+                 [0.0, 0.152163021541603, 0.827243952839925], 0.0205930256184717,
+                 id="subnormal-gamma-one-left-out"),
+]
+
+
 def toy_instance(alpha, weights, capacity, beta=0.1, gamma=1.0) -> Instance:
     """Hand-crafted instance; gamma may be a scalar or a per-pair vector."""
     alpha = np.asarray(alpha, dtype=float)

@@ -2,17 +2,26 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pclopt import (
+    a_value,
     choice_probabilities,
     expected_revenue,
-    preference_weight,
+    pair_count,
     simulate_choice,
 )
 
-from conftest import random_feasible_assortment, random_instance, toy_instance
+from conftest import (
+    EXTREME_CHOICE_CASES,
+    random_feasible_assortment,
+    random_instance,
+    toy_instance,
+)
 
 
 def brute_force_distribution(inst, prices, x):
@@ -39,11 +48,27 @@ def brute_force_distribution(inst, prices, x):
     return np.array(q), q0
 
 
-def test_preference_weight_values():
-    assert preference_weight(0.0, 0.1, 0.0) == 1.0
-    assert preference_weight(0.0, 0.1, 10.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
-    assert preference_weight(1.6094, 0.1, 0.0) == pytest.approx(5.0, abs=1e-3)
-    assert math.isfinite(preference_weight(1e6, 0.1, 0.0))  # overflow guard
+def mpmath_distribution(inst, prices, x):
+    """The nest formulas at 50 significant digits.  mpmath's exponent range
+    is unbounded, so v^(1/gamma) = exp(u/gamma) is formed as written even at
+    gamma = 1e-310 (exp(u) itself would round utilities u below 1e-50 away)."""
+    n = inst.n
+    with mpmath.workdps(50):
+        u = [mpmath.mpf(inst.alpha[i]) - mpmath.mpf(inst.beta) * mpmath.mpf(prices[i])
+             for i in range(n)]
+        nests = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                g = mpmath.mpf(inst.gamma(i, j))
+                vi, vj = mpmath.exp(u[i] / g) * x[i], mpmath.exp(u[j] / g) * x[j]
+                nests.append((i, j, vi, vj, (vi + vj) ** g if vi + vj > 0 else mpmath.mpf(0)))
+        denom = 1 + mpmath.fsum(nest[4] for nest in nests)
+        q = [mpmath.mpf(0)] * n
+        for i, j, vi, vj, value in nests:
+            if value > 0:
+                q[i] += value / denom * vi / (vi + vj)
+                q[j] += value / denom * vj / (vi + vj)
+        return np.array([float(qi) for qi in q]), float(1 / denom)
 
 
 def test_symmetric_pair_splits_evenly():
@@ -160,3 +185,42 @@ def test_simulation_is_deterministic_per_seed():
     assert np.array_equal(first.product_probs, second.product_probs)
     assert first.no_purchase == second.no_purchase
     assert not np.array_equal(first.product_probs, third.product_probs)
+
+
+@pytest.mark.parametrize("alpha, gamma, x, expected_q, expected_q0", EXTREME_CHOICE_CASES)
+def test_extreme_utilities_and_gammas(alpha, gamma, x, expected_q, expected_q0):
+    inst = toy_instance(alpha, [1, 1, 1], 3.0, gamma=gamma)
+    dist = choice_probabilities(inst, [0.0, 0.0, 0.0], x)
+    assert dist.product_probs == pytest.approx(expected_q, abs=1e-12)
+    assert dist.no_purchase == pytest.approx(expected_q0, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_matches_mpmath_evaluation_of_the_nest_formulas(data):
+    n = data.draw(st.integers(2, 6))
+    alpha = data.draw(st.lists(st.floats(-700.0, 700.0), min_size=n, max_size=n))
+    prices = data.draw(st.lists(st.floats(0.0, 1e4), min_size=n, max_size=n))
+    gammas = data.draw(st.lists(
+        st.one_of(st.just(1e-310), st.floats(1e-3, 1.0), st.just(1.0)),
+        min_size=pair_count(n), max_size=pair_count(n),
+    ))
+    x = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    beta = data.draw(st.floats(0.01, 1.0))
+    inst = toy_instance(alpha, [1.0] * n, float(n), beta=beta, gamma=np.array(gammas))
+    dist = choice_probabilities(inst, prices, x)
+    q_ref, q0_ref = mpmath_distribution(inst, prices, x)
+    assert dist.product_probs == pytest.approx(q_ref, abs=1e-12)
+    assert dist.no_purchase == pytest.approx(q0_ref, abs=1e-12)
+    assert dist.no_purchase + dist.product_probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_no_purchase_odds_at_zero_prices_are_the_objective():
+    # at p = 0 the nest values sum to A(x), so (1 - q0) / q0 = A(x)
+    rng = np.random.default_rng(17)
+    for seed in range(30):
+        inst = random_instance(seed + 500)
+        x = random_feasible_assortment(inst, rng)
+        dist = choice_probabilities(inst, np.zeros(inst.n), x)
+        odds = (1.0 - dist.no_purchase) / dist.no_purchase
+        assert odds == pytest.approx(a_value(inst, x), rel=1e-12)

@@ -16,6 +16,8 @@ from pclopt import (
 )
 from pclopt.cli import dispatch
 
+from conftest import EXTREME_CHOICE_CASES
+
 
 def run_cli(argv, capsys):
     code = dispatch(argv)
@@ -178,16 +180,19 @@ def write_huge_instance(tmp_path, alpha=705.0):
     return path
 
 
-@pytest.mark.parametrize("method", ["lp-bound"])
-def test_solver_failure_is_an_error_envelope(tmp_path, capsys, method):
-    # exp(705) in the LP costs makes HiGHS give up with an unknown status
-    path = write_huge_instance(tmp_path)
-    code, out, err = run_cli(["solve", "--instance", str(path), "--method", method], capsys)
-    assert code == 1
-    assert out == ""
-    envelope = json.loads(err)
-    assert envelope["code"] == "solver-failed"
-    assert envelope["path"] is None
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [-700.0, -300.0, 42.0, 300.0, 705.0])
+def test_lp_bound_is_at_least_the_optimum(tmp_path, capsys, alpha):
+    # LP costs 4 exp(alpha), from 4e-304 to 7e306: unscaled, HiGHS gave up from alpha = 42
+    # and returned a bound below the optimum at alpha = -300
+    path = write_huge_instance(tmp_path, alpha=alpha)
+    code, out, err = run_cli(["solve", "--instance", str(path), "--method", "lp-bound"], capsys)
+    assert code == 0 and err == ""
+    bound = json.loads(out)["upper_bound"]
+    _, out, _ = run_cli(["solve", "--instance", str(path), "--method", "brute-force"], capsys)
+    optimum = json.loads(out)["a_value"]
+    assert math.isfinite(bound)
+    assert bound >= optimum * (1.0 - 1e-12)
 
 
 @pytest.mark.parametrize("method", ["exact", "greedy", "brute-force"])
@@ -224,8 +229,7 @@ def test_overflow_is_one_solver_failed_envelope(tmp_path, capsys, method, alpha)
     assert out == ""
     envelope = json.loads(err)
     assert envelope["code"] == "solver-failed"
-    if method != "lp-bound":  # HiGHS gives up on the 708 LP before anything overflows
-        assert "overflow" in envelope["message"]
+    assert "overflow" in envelope["message"]
 
 
 def test_solve_budget_exhaustion_is_not_an_error(tmp_path, capsys):
@@ -290,6 +294,51 @@ def test_evaluate_inline_and_file_vectors(tmp_path, capsys):
     assert code == 0
     assert json.loads(out2) == payload
     assert instance["n"] == 4
+
+
+def write_three_product_instance(tmp_path, alpha, gamma):
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps({
+        "n": 3, "alpha": alpha, "weights": [1, 1, 1], "capacity": 3,
+        "beta": 0.1, "gamma_upper": [gamma] * 3,
+    }))
+    return path
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha, gamma, x, expected_q, expected_q0", EXTREME_CHOICE_CASES)
+def test_evaluate_extreme_utilities_and_gammas(tmp_path, capsys, alpha, gamma, x,
+                                               expected_q, expected_q0):
+    path = write_three_product_instance(tmp_path, alpha, gamma)
+    code, out, err = run_cli(
+        ["evaluate", "--instance", str(path), "--prices", "[0, 0, 0]",
+         "--assortment", json.dumps(x)],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["product_probs"] == pytest.approx(expected_q, abs=1e-12)
+    assert payload["no_purchase"] == pytest.approx(expected_q0, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha, gamma, x, expected_q, expected_q0", EXTREME_CHOICE_CASES)
+def test_simulate_extreme_utilities_and_gammas(tmp_path, capsys, alpha, gamma, x,
+                                               expected_q, expected_q0):
+    path = write_three_product_instance(tmp_path, alpha, gamma)
+    trials = 200_000
+    code, out, err = run_cli(
+        ["simulate", "--instance", str(path), "--prices", "[0, 0, 0]",
+         "--assortment", json.dumps(x), "--trials", str(trials), "--seed", "4"],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    freqs = payload["product_freqs"] + [payload["no_purchase_freq"]]
+    bound = 4.0 * math.sqrt(0.25 / trials)
+    for freq, q in zip(freqs, expected_q + [expected_q0]):
+        # an outcome of probability below 1e-80 is never drawn
+        assert freq == 0.0 if q == 0.0 else abs(freq - q) <= bound
 
 
 def test_evaluate_rejects_bad_vector(tmp_path, capsys):

@@ -114,6 +114,15 @@ def test_majorant_bound_cases_and_chain():
         assert lp.objective_value >= oracle.a_value - 1e-8
 
 
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the test
+def test_overflowing_majorant_is_silent():
+    # theta = exp(708): (n-1) theta and its knapsack sums overflow to inf
+    inst = toy_instance([708.0] * 5, [1, 2, 3, 4, 5], 6.0, gamma=0.5)
+    assert knapsack_majorant_bound(inst) == math.inf
+    with pytest.raises(OverflowError):
+        branch_and_bound(inst)
+
+
 def test_branch_and_bound_matches_oracle():
     rng = np.random.default_rng(14)
     for _ in range(25):
