@@ -40,12 +40,22 @@ from .pricing import SolveResult, SolveStats, optimal_uniform_price, price_for_a
 
 _BRUTE_FORCE_MAX_N = 22
 _CHUNK_BITS = 16
-# inflate majorant bounds so float noise can never prune the true optimum
+# inflate majorant bounds so float noise can never put them below the optimum
 _MAJORANT_SAFETY = 1e-9
 # a relaxed value this close to 0 or 1 counts as integral
 _INTEGRALITY_TOL = 1e-6
-# prune a node whose bound exceeds the incumbent by at most this relative slack
-_PRUNE_REL_TOL = 1e-9
+# weight sums this close to the capacity (relative) may round either side of
+# it depending on the summation order; is_feasible's dot decides them
+_CAPACITY_REL_TOL = 1e-12
+# close a subtree whose integral fill attains its majorant to this relative
+# slack; a tied assortment inside it is not searched for
+_ATTAIN_REL_TOL = 1e-9
+# prune a node only when its majorant falls below the incumbent by more than
+# this relative slack, so a subtree that ties the incumbent to rounding is
+# searched for an assortment tie_break_prefer ranks first.  Relative,
+# because any absolute slack fails at some scale of A: 1e-12 is rounded
+# away at A = 1e304 and prunes every node at A = 1e-304.
+_TIE_REL_TOL = 1e-12
 
 
 class InstanceTooLarge(ValueError):
@@ -213,7 +223,11 @@ def brute_force_oracle(instance: Instance) -> SolveResult:
     for start in range(0, total, chunk):
         masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
         bits = (masks[:, None] & bit_values[None, :]) != 0
-        feasible = bits @ instance.weights <= instance.capacity
+        load = bits @ instance.weights
+        feasible = load <= instance.capacity
+        near = np.abs(load - instance.capacity) <= _CAPACITY_REL_TOL * instance.capacity
+        for k in np.flatnonzero(near):
+            feasible[k] = is_feasible(instance, bits[k])
         if not feasible.any():
             continue
         bits = bits[feasible]
@@ -232,8 +246,6 @@ def brute_force_oracle(instance: Instance) -> SolveResult:
     best_a = -np.inf
     for mask, _ in candidates:
         x = ((mask & bit_values) != 0).astype(np.int8)
-        if float(instance.weights @ x.astype(float)) > instance.capacity:
-            continue
         a = a_value(instance, x)
         if a > best_a or (a == best_a and tie_break_prefer(x, best_x)):
             best_x, best_a = x, a
@@ -258,9 +270,12 @@ def branch_and_bound(
     Depth-first search branching on the fractional product of the node's
     knapsack fill (include-branch explored first).  Every node is bounded by
     the fractional-knapsack majorant with the mu interactions of the
-    fixed-on products folded in.  A node closes when its bound cannot beat
-    the incumbent, or when its fill is integral, feasible and attains the
-    majorant.
+    fixed-on products folded in.  That fold, mu_matrix @ fixed_on, is
+    carried down the tree: the include-child adds the branching product's
+    mu row to its parent's fold and the exclude-child shares it, so a node
+    costs O(n) plus the knapsack sort.  A node closes when its bound cannot
+    beat the incumbent, or when its fill is integral, feasible and attains
+    the majorant.
 
     The search starts from ``incumbent`` (a feasible 0/1 assortment, such as
     GRASP's answer) or else from the empty one.  Exhausting the node or time
@@ -284,10 +299,14 @@ def branch_and_bound(
     stats = SolveStats(bound_history=[] if config.record_bound_history else None)
 
     root_majorant, _ = _fractional_knapsack(lin_costs, weights, instance.capacity)
-    root_bound = root_majorant * (1 + _MAJORANT_SAFETY) + 1e-12
+    root_bound = root_majorant * (1 + _MAJORANT_SAFETY)
     lb0 = np.zeros(n, dtype=np.int8)
     ub0 = np.ones(n, dtype=np.int8)
-    stack: list[tuple[np.ndarray, np.ndarray, float]] = [(lb0, ub0, root_bound)]
+    # a node is (lb, ub, bound, mu_fold) with mu_fold = mu_mat @ fixed_on;
+    # folds are shared between nodes and never written in place
+    stack: list[tuple[np.ndarray, np.ndarray, float, np.ndarray]] = [
+        (lb0, ub0, root_bound, np.zeros(n))
+    ]
     stopped = False
 
     def maybe_update(x_cand: np.ndarray) -> float:
@@ -307,9 +326,9 @@ def branch_and_bound(
         ):
             stopped = True
             break
-        lb, ub, bound = stack.pop()
+        lb, ub, bound, mu_fold = stack.pop()
         stats.nodes += 1
-        prune_tol = _PRUNE_REL_TOL * max(1.0, abs(inc_a))
+        attain_tol = _ATTAIN_REL_TOL * abs(inc_a)
 
         fixed_on = lb == 1
         weight_fixed = float(weights @ fixed_on)
@@ -317,7 +336,8 @@ def branch_and_bound(
             continue
         residual = instance.capacity - weight_fixed
         free = (lb == 0) & (ub == 1)
-        overweight = free & (weights > residual)
+        # a product that fits to rounding stays free for the integral check
+        overweight = free & (weights - residual > _CAPACITY_REL_TOL * instance.capacity)
         if overweight.any():
             ub = ub.copy()
             ub[overweight] = 0
@@ -331,7 +351,6 @@ def branch_and_bound(
 
         # linearized objective with the fixed-on set folded in:
         # value(x) = fixed_part + sum over free offered of c_tilde + free-free mu
-        mu_fold = mu_mat @ fixed_on.astype(float)
         fixed_part = float(lin_costs @ fixed_on) + 0.5 * float(fixed_on @ mu_fold)
         c_tilde = lin_costs + mu_fold
         free_idx = np.flatnonzero(free)
@@ -339,9 +358,11 @@ def branch_and_bound(
             np.clip(c_tilde[free_idx], 0.0, None), weights[free_idx], residual
         )
         majorant = fixed_part + majorant_free
-        bound = min(bound, majorant * (1 + _MAJORANT_SAFETY) + 1e-12)
+        bound = min(bound, majorant * (1 + _MAJORANT_SAFETY))
 
-        if bound <= inc_a + prune_tol:
+        # the bound is a majorant times (1 + safety); prune it when that
+        # majorant is below the incumbent by more than the tie slack
+        if bound <= inc_a * (1 - _TIE_REL_TOL) * (1 + _MAJORANT_SAFETY):
             if stats.bound_history is not None:
                 stats.bound_history.append(_global_bound(inc_a, stack))
             continue
@@ -355,16 +376,16 @@ def branch_and_bound(
             x_int = np.where(x_rel > 0.5, 1, 0).astype(np.int8)
             if float(weights @ x_int.astype(float)) <= instance.capacity:
                 # a fill attaining the raw majorant is optimal in the subtree
-                if maybe_update(x_int) >= majorant - prune_tol:
+                if maybe_update(x_int) >= majorant - attain_tol:
                     if stats.bound_history is not None:
                         stats.bound_history.append(_global_bound(inc_a, stack))
                     continue
             if fractionality[branch_var] <= 0.0:
                 branch_var = int(free_idx[0])
 
-        child_up = (lb.copy(), ub.copy(), bound)
+        child_up = (lb.copy(), ub.copy(), bound, mu_fold + mu_mat[branch_var])
         child_up[0][branch_var] = 1
-        child_down = (lb.copy(), ub.copy(), bound)
+        child_down = (lb.copy(), ub.copy(), bound, mu_fold)
         child_down[1][branch_var] = 0
         stack.append(child_down)
         stack.append(child_up)

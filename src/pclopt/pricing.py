@@ -86,9 +86,10 @@ def optimal_uniform_price(instance: Instance, x) -> tuple[float, float]:
 class SolveStats:
     """Search effort behind an answer.  Heuristic answers set
     ``improvement_count`` (GRASP also ``construction_rcl``) and serialize
-    those in place of ``nodes`` and ``lp_solves``.  Heuristics and the LP
-    bound leave ``wall_time_s`` at 0, so their results repeat exactly; the
-    CLI stamps it on every answer."""
+    those in place of ``nodes`` and ``lp_solves``.  A recorded
+    ``bound_history`` is serialized with them, an unrecorded one is left
+    out.  Heuristics and the LP bound leave ``wall_time_s`` at 0, so their
+    results repeat exactly; the CLI stamps it on every answer."""
 
     nodes: int = 0
     lp_solves: int = 0
@@ -104,11 +105,14 @@ class SolveStats:
                 "construction_rcl": self.construction_rcl,
                 "improvement_count": self.improvement_count,
             }
-        return {
+        payload = {
             "nodes": self.nodes,
             "lp_solves": self.lp_solves,
             "wall_time_s": self.wall_time_s,
         }
+        if self.bound_history is not None:
+            payload["bound_history"] = self.bound_history
+        return payload
 
 
 @dataclass

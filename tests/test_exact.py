@@ -2,16 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pclopt import (
     BranchBoundConfig,
+    GeneratorConfig,
     GraspConfig,
+    SolveStats,
     a_value,
     branch_and_bound,
     brute_force_oracle,
     coefficients,
+    derive_seed,
+    generate_instance,
     grasp,
     greedy,
+    is_feasible,
     knapsack_majorant_bound,
     lambert_w0,
     lp_relaxation,
@@ -139,6 +146,45 @@ def test_branch_and_bound_matches_oracle():
             assert abs(result.revenue - lambert_w0(result.a_value / math.e) / inst.beta) <= 1e-10
 
 
+@pytest.mark.parametrize("shift", [-700.0, 700.0])
+def test_branch_and_bound_search_is_scale_free(shift):
+    # a common shift of alpha scales every A by exp(shift); the search, its
+    # pruning and its ties must not depend on that scale
+    for seed in range(3):
+        base = random_instance(seed + 3, n=12, kappa=0.3)
+        shifted = toy_instance(
+            base.alpha + shift, base.weights, base.capacity, gamma=base.gamma_upper
+        )
+        expected, result = branch_and_bound(base), branch_and_bound(shifted)
+        assert result.stats.nodes == expected.stats.nodes
+        assert np.array_equal(result.assortment, expected.assortment)
+        assert result.a_value == brute_force_oracle(shifted).a_value
+    # two equal products and room for one: the tie goes to product 1
+    tie = toy_instance([shift, shift], [1.0, 1.0], 1.5, gamma=0.5)
+    assert branch_and_bound(tie).assortment.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize(
+    "alpha, weights, capacity, expected_x",
+    [
+        # a batched sum over many assortments gives 1.9500000000000002
+        ([0.0] * 7, [0.25, 0.125, 0.125, 0.1, 0.1, 1.0, 0.25], 1.95, [1] * 7),
+        # 1.46 - 1.33 = 0.1299999999999999 < 0.13
+        ([0.0, 1.0, 0.0, 0.0, 1.0], [0.41, 0.13, 1.37, 1.81, 1.33], 1.46, [0, 1, 0, 0, 1]),
+    ],
+    ids=["batched-sum", "residual"],
+)
+def test_an_assortment_that_fills_the_capacity_exactly_is_feasible(
+    alpha, weights, capacity, expected_x
+):
+    # the optimum's weights sum to the capacity in is_feasible's arithmetic;
+    # other summation orders round past it, and must not drop the optimum
+    inst = toy_instance(alpha, weights, capacity, gamma=0.5)
+    assert is_feasible(inst, expected_x)
+    for solver in (brute_force_oracle, branch_and_bound):
+        assert solver(inst).assortment.tolist() == expected_x
+
+
 def test_branch_and_bound_linear_case_is_easy():
     # gamma = 1 everywhere makes the objective linear; the capacity matches
     # the two best ratio items exactly, so the root relaxation is integral
@@ -188,6 +234,9 @@ def test_branch_and_bound_global_bound_is_monotone():
     assert history, "expected a recorded bound trace"
     assert all(b1 >= b2 - 1e-9 for b1, b2 in zip(history, history[1:]))
     assert all(b >= result.a_value - 1e-9 for b in history)
+    payload = result.to_dict()["stats"]
+    assert payload["bound_history"] == history
+    assert SolveStats(**payload).to_dict() == payload
 
 
 @pytest.mark.parametrize(
@@ -224,3 +273,86 @@ def test_result_serialization():
     assert payload["status"] == "optimal"
     assert payload["assortment"] == result.assortment.tolist()
     assert set(payload["stats"]) == {"nodes", "lp_solves", "wall_time_s"}
+
+
+# (n, kappa, index, node_budget) -> (status, nodes, offered, a_value, upper_bound)
+# of branch_and_bound from the GRASP answer, as bench._solve_one starts it at
+# master seed 0; a change to the node arithmetic that moves the search moves these
+PINNED_SEARCHES = [
+    ((20, 0.04, 0, None), ("optimal", 25, [3, 6, 12], 177.13108419128628, 177.13108419128628)),
+    ((20, 0.06, 2, None), ("optimal", 29, [2, 14, 18], 130.80335347241186, 130.80335347241186)),
+    ((50, 0.04, 0, None),
+     ("optimal", 439, [6, 8, 23, 27, 38, 45], 1055.6986948396477, 1055.6986948396477)),
+    ((50, 0.06, 2, None),
+     ("optimal", 271, [0, 17, 20, 22, 24, 34, 45, 46], 1609.8363903535485, 1609.8363903535485)),
+    ((100, 0.02, 1, None),
+     ("optimal", 807, [37, 40, 52, 66, 71, 72, 82], 2754.4695243895567, 2754.4695243895567)),
+    ((100, 0.04, 0, None),
+     ("optimal", 4123, [0, 13, 14, 48, 52, 60, 65, 72, 86, 87, 99],
+      4422.0534966454, 4422.0534966454)),
+    ((100, 0.06, 1, None),
+     ("optimal", 2197, [1, 2, 19, 25, 29, 30, 35, 36, 38, 51, 57, 64, 72, 87, 89],
+      5960.111262996541, 5960.111262996541)),
+    ((400, 0.04, 0, 2000),
+     ("feasible", 2000,
+      [6, 19, 29, 42, 43, 44, 47, 49, 55, 61, 65, 93, 98, 117, 118, 127, 162, 171, 175,
+       184, 195, 200, 205, 211, 224, 249, 251, 268, 274, 276, 290, 298, 318, 328, 341,
+       343, 351, 363, 376, 380, 389, 390, 395],
+      63844.495133058575, 65590.15055278)),
+]
+
+
+@pytest.mark.parametrize(
+    "cell, expected", PINNED_SEARCHES, ids=[f"{c[0]}-{c[1]}-{c[2]}" for c, _ in PINNED_SEARCHES]
+)
+def test_branch_and_bound_search_is_pinned(cell, expected):
+    n, kappa, index, node_budget = cell
+    status, nodes, offered, a_value_expected, upper_expected = expected
+    inst = generate_instance(
+        GeneratorConfig(n=n, kappa=kappa, seed=derive_seed(0, n, kappa, index))
+    )
+    seeded = grasp(inst, GraspConfig(seed=derive_seed(0, n, kappa, index, "grasp")))
+    result = branch_and_bound(inst, BranchBoundConfig(node_budget=node_budget), seeded.assortment)
+    assert result.status == status
+    assert result.stats.nodes == nodes
+    assert np.flatnonzero(result.assortment).tolist() == offered
+    assert result.a_value == a_value_expected
+    assert result.upper_bound == pytest.approx(upper_expected, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_branch_and_bound_matches_brute_force_on_random_inputs(data):
+    n = data.draw(st.integers(2, 10))
+    # mostly moderate utilities, a few instances shifted to the float range's edge
+    shift = data.draw(st.sampled_from([0.0] * 8 + [700.0, -700.0]))
+    alpha = [shift + a for a in data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))]
+    gammas = data.draw(st.lists(
+        st.one_of(st.just(1e-310), st.floats(1e-3, 1.0), st.just(1.0)),
+        min_size=pair_count(n), max_size=pair_count(n),
+    ))
+    weights = data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    # a fraction of the total, or exactly the weight of a subset (a capacity
+    # tie, which summation orders round either way)
+    subset = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if any(subset) and data.draw(st.booleans()):
+        capacity = float(np.dot(weights, np.array(subset, dtype=float)))
+    else:
+        capacity = data.draw(st.floats(0.05, 1.1)) * sum(weights)
+    inst = toy_instance(alpha, weights, capacity, gamma=np.array(gammas))
+    oracle = brute_force_oracle(inst)
+
+    result = branch_and_bound(inst)
+    assert result.status == "optimal"
+    assert is_feasible(inst, result.assortment)
+    # equal to rounding, not bit for bit, and either of two tied assortments:
+    # branch-and-bound closes a subtree on a fill that attains its majorant
+    # without searching it for a tie that tie_break_prefer ranks first, and
+    # a_value's pair sum can put equal assortments an ulp apart (seven equal
+    # products at alpha = 700 with room for one)
+    assert result.a_value == pytest.approx(oracle.a_value, rel=1e-14, abs=0.0)
+
+    budget = data.draw(st.integers(1, 30))
+    budgeted = branch_and_bound(inst, BranchBoundConfig(node_budget=budget))
+    assert budgeted.a_value <= oracle.a_value
+    assert budgeted.upper_bound >= oracle.a_value * (1 - 1e-12)
