@@ -9,8 +9,10 @@ Three routes to the optimum / bounds on it:
       s.t. sum w_i x_i <= C,   1 + y_ij >= x_i + x_j,   y_ij >= 0,  x in [0,1]
 
   Because every mu_ij <= 0, a pair row only matters when x_i + x_j > 1 at
-  the optimum, so the LP is solved by generating violated pair rows lazily;
-  the restricted LPs stay tiny even for large n.
+  the optimum, and such pairs lie among a short prefix of the
+  fractional-knapsack ratio order.  The first restricted LP holds every
+  pair of that prefix, so one HiGHS solve usually suffices; violated rows
+  outside it are still generated lazily, which keeps the answer exact.
 * ``lp_bound_answer`` is the bound-only answer: no assortment, the LP
   bound as ``upper_bound``, priced as if that A were attained, which gives
   ``revenue_upper_bound``.
@@ -26,6 +28,7 @@ fractional-knapsack optimum dominates the LP bound and hence A(x*).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -56,6 +59,20 @@ _ATTAIN_REL_TOL = 1e-9
 # because any absolute slack fails at some scale of A: 1e-12 is rounded
 # away at A = 1e304 and prunes every node at A = 1e-304.
 _TIE_REL_TOL = 1e-12
+# the first restricted LP holds every pair among this multiple of the
+# knapsack fill's support, in ratio order; the prefix grows by the same
+# factor past the deepest product of a violated row
+_SEED_PREFIX_FACTOR = 1.25
+# HiGHS options of every LP solve: presolve only slows these LPs down, and
+# the feasibility tolerances are the tightest HiGHS takes
+_LP_OPTIONS = {
+    "presolve": False,
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+}
+# the LP reports its primal objective when the duals certify it to this
+# relative gap, which is rounding; past it, the duals' bound
+_DUALITY_GAP_REL_TOL = 1e-13
 
 
 class InstanceTooLarge(ValueError):
@@ -76,6 +93,19 @@ class BranchBoundConfig:
     time_budget_s: float | None = None
     record_bound_history: bool = False
 
+    def __post_init__(self):
+        if self.node_budget is not None and self.node_budget < 0:
+            raise ValueError("node_budget must be nonnegative")
+        if self.time_budget_s is not None and not (
+            math.isfinite(self.time_budget_s) and self.time_budget_s >= 0
+        ):
+            raise ValueError("time_budget_s must be finite and nonnegative")
+
+
+def _ratio_order(values, weights) -> np.ndarray:
+    """Item indices by value/weight descending, ties to the smaller index."""
+    return np.lexsort((np.arange(values.size), -values / weights))
+
 
 def _fractional_knapsack(values, weights, capacity):
     """Relaxed knapsack over [0,1] items: fill by value/weight ratio.
@@ -87,7 +117,7 @@ def _fractional_knapsack(values, weights, capacity):
     fill = np.zeros(m)
     if m == 0 or capacity <= 0:
         return 0.0, fill
-    order = np.lexsort((np.arange(m), -values / weights))
+    order = _ratio_order(values, weights)
     total = 0.0
     remaining = capacity
     # an overflowing bound becomes inf silently (also in the callers' float
@@ -119,18 +149,43 @@ def knapsack_majorant_bound(instance: Instance) -> float:
     return (instance.n - 1) * best
 
 
+def _pair_positions(products: np.ndarray, n: int):
+    """Storage positions and endpoints (i < j) of every pair among
+    ``products``, in storage order; O(m^2) in the m products given."""
+    p = np.sort(products)
+    a, b = np.triu_indices(p.size, k=1)
+    i, j = p[a], p[b]
+    return i * n - i * (i + 1) // 2 + (j - i - 1), i, j
+
+
 def lp_relaxation(instance: Instance) -> LpSolution:
     """Optimal LP relaxation; its objective bounds A(x) for all feasible x.
 
-    Solved by lazy pair-row generation: pairs (mu < 0) enter the restricted
-    LP only once the current solution violates x_i + x_j <= 1; when no
-    uncovered pair is violated, the restricted optimum equals the full LP
-    optimum.  The reported objective is the canonical full one.
+    The first restricted LP holds every pair row (mu < 0) among the first
+    ceil(1.25 s) products in fractional-knapsack ratio order, s being the
+    number of products the knapsack fill offers: the LP optimum spends the
+    capacity on about that prefix, so one HiGHS solve usually suffices.
+    The lazy net keeps the answer exact: a pair outside the rows enters
+    once the solution violates x_i + x_j <= 1, the prefix grows to 1.25
+    times the ratio rank of the deepest violated product, and the LP is
+    solved again; when no uncovered pair is violated, the restricted
+    optimum is the full LP optimum.  Only pairs of products with positive
+    x can violate their row, so the scan and y_frac cost O(p^2) for p such
+    products.
+
+    The reported objective is the canonical full one at x, unless HiGHS's
+    duals bound the LP above it by more than rounding; then it is that
+    dual bound, which stays valid when HiGHS stops within its tolerance.
     """
     n = instance.n
     I, J = instance.pair_i, instance.pair_j
     coeffs = coefficients(instance)
     lin_costs, mu = coeffs.lin_costs, coeffs.mu
+    order = _ratio_order(lin_costs, instance.weights)
+    rank = np.empty(n, dtype=int)
+    rank[order] = np.arange(n)
+    _, fill = _fractional_knapsack(lin_costs, instance.weights, instance.capacity)
+    prefix = math.ceil(_SEED_PREFIX_FACTOR * np.count_nonzero(fill))
     included = np.zeros(mu.size, dtype=bool)
     # HiGHS gives up or returns a wrong vertex on costs far from 1, so the
     # largest cost is scaled into [1, 2) by a power of two: every mantissa
@@ -139,6 +194,8 @@ def lp_relaxation(instance: Instance) -> LpSolution:
 
     solves = 0
     for _ in range(mu.size + 2):
+        seeded, _, _ = _pair_positions(order[:prefix], n)
+        included[seeded[mu[seeded] < 0.0]] = True
         sel = np.flatnonzero(included)
         k = sel.size
         cost = np.ldexp(np.concatenate([-lin_costs, -mu[sel]]), exponent)
@@ -156,22 +213,39 @@ def lp_relaxation(instance: Instance) -> LpSolution:
         )
         a_ub = sp.csr_matrix((val, (row, col)), shape=(1 + k, n + k))
         b_ub = np.concatenate([[instance.capacity], np.ones(k)])
-        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs")
+        res = linprog(
+            cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs",
+            options=_LP_OPTIONS,
+        )
         solves += 1
         if res.status != 0:
             raise RuntimeError(f"LP solve failed with status {res.status}: {res.message}")
         x = res.x[:n]
-        violated = (mu < -1e-15) & ~included & (x[I] + x[J] - 1.0 > 1e-12)
+        pos, i, j = _pair_positions(np.flatnonzero(x > 0.0), n)
+        excess = x[i] + x[j] - 1.0
+        violated = (mu[pos] < 0.0) & ~included[pos] & (excess > 1e-12)
         if not violated.any():
-            y = np.maximum(0.0, x[I] + x[J] - 1.0)
+            y = np.zeros(mu.size)
+            y[pos] = np.maximum(0.0, excess)
+            # HiGHS may stop on a reduced cost below its tolerance with x
+            # short of the optimum; the weak-duality bound of its duals,
+            # u'b + sum of the positive reduced costs, never falls below it
+            u = np.maximum(0.0, -res.ineqlin.marginals)
             with np.errstate(over="ignore", invalid="ignore"):
                 objective = float(lin_costs @ x + mu @ y)
+                dual = float(np.ldexp(
+                    u @ b_ub + np.maximum(0.0, -cost - a_ub.T @ u).sum(), -exponent
+                ))
+            if dual - objective > _DUALITY_GAP_REL_TOL * abs(objective):
+                objective = dual
             if not np.isfinite(objective):
                 raise OverflowError("the LP bound overflows the float range")
             return LpSolution(
                 x_frac=x, y_frac=y, objective_value=objective, lp_solves=solves
             )
-        included |= violated
+        included[pos[violated]] = True
+        deepest = rank[np.concatenate([i[violated], j[violated]])].max()
+        prefix = max(prefix, math.ceil(_SEED_PREFIX_FACTOR * (deepest + 1)))
     raise RuntimeError("pair-row generation failed to converge")
 
 

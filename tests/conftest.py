@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from pclopt import (
     GeneratorConfig,
     Instance,
     LinearizedCoefficients,
+    coefficients,
     generate_instance,
     pair_count,
 )
@@ -57,6 +59,67 @@ def toy_instance(alpha, weights, capacity, beta=0.1, gamma=1.0) -> Instance:
         beta=beta,
         gamma_upper=gamma_upper,
     )
+
+
+def small_utility_instance() -> Instance:
+    """alpha near -300: every mu lies between -1e-129 and 0, so an absolute
+    floor on mu keeps every pair row out of the LP, whose value then falls
+    below the optimum (5.724e-130 against 6.279e-130)."""
+    gamma = np.full(pair_count(5), 1e-3)
+    gamma[3] = 1.0
+    return toy_instance(
+        [-299.89936349659854, -299.88518223981816, -300.002027095386,
+         -300.15107283073587, -299.8485896793218],
+        [1.9499935930817573, 1.1871193407291787, 1.7562071326976072,
+         0.5838079475478068, 1.0783808858450863],
+        4.9312071910481015,
+        gamma=gamma,
+    )
+
+
+def past_prefix_instance() -> Instance:
+    """An LP whose rows reach past the seeded ratio-order prefix.
+
+    The knapsack fill offers products 0 and 1, so the first restricted LP
+    holds the pairs among products 0-2.  Strong substitution (gamma = 0.1)
+    makes it answer x_0 = x_3 = 1, which violates the unseeded pair (0, 3);
+    the second LP holds every pair and answers x = (.5, .5, .5, .5, 0).
+    """
+    return toy_instance([0.0, -0.1, -0.2, -0.3, -0.4], [1.0] * 5, 2.0, gamma=0.1)
+
+
+def assert_matches_all_pairs_lp(instance: Instance, value: float):
+    """Assert that value is the LP relaxation's optimum to 1e-12, as one
+    linprog call holding every pair row (n <= 25) brackets it: an oracle
+    for lp_relaxation's row generation.
+
+    The bracket is HiGHS's objective below and the weak-duality bound of its
+    duals (u'b plus the positive reduced costs) above.  They agree to
+    rounding when HiGHS converges; when it stops on a reduced cost below
+    its tolerance, the objective falls short of the optimum and the dual
+    bound stays above it.
+    """
+    n, m = instance.n, pair_count(instance.n)
+    assert n <= 25
+    coeffs = coefficients(instance)
+    cost = -np.concatenate([coeffs.lin_costs, coeffs.mu])
+    scale = np.abs(cost).max()  # HiGHS needs costs near 1
+    rows = np.arange(1, m + 1)
+    a_ub = np.zeros((1 + m, n + m))
+    a_ub[0, :n] = instance.weights
+    a_ub[rows, instance.pair_i] = 1.0
+    a_ub[rows, instance.pair_j] = 1.0
+    a_ub[rows, n + np.arange(m)] = -1.0
+    b_ub = np.concatenate([[instance.capacity], np.ones(m)])
+    res = linprog(
+        cost / scale, A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    u = np.maximum(0.0, -res.ineqlin.marginals)
+    primal = -res.fun * scale
+    dual = (u @ b_ub + np.maximum(0.0, -cost / scale - a_ub.T @ u).sum()) * scale
+    assert primal * (1 - 1e-12) <= value <= dual * (1 + 1e-12), (value, primal, dual)
 
 
 def random_instance(seed, n=None, kappa=None, beta=0.1) -> Instance:

@@ -16,7 +16,7 @@ from pclopt import (
 )
 from pclopt.cli import dispatch
 
-from conftest import EXTREME_CHOICE_CASES
+from conftest import EXTREME_CHOICE_CASES, past_prefix_instance, small_utility_instance
 
 
 def run_cli(argv, capsys):
@@ -127,7 +127,8 @@ def test_solve_lp_bound_dominates_exact(tmp_path, capsys):
 
 
 def test_solve_lp_bound_reports_every_lp_solve(tmp_path, capsys, monkeypatch):
-    path = write_instance(tmp_path, capsys, n=100, kappa=0.04, seed=1)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(past_prefix_instance().to_dict()))
     calls = []
     linprog = pclopt.exact.linprog
 
@@ -142,6 +143,44 @@ def test_solve_lp_bound_reports_every_lp_solve(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert len(calls) > 1  # rows are generated lazily over several solves
     assert json.loads(out)["stats"]["lp_solves"] == len(calls)
+
+
+def test_solve_lp_bound_holds_at_small_utilities(tmp_path, capsys):
+    # every mu is above -1e-129 here; the LP bound must still cover the optimum
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(small_utility_instance().to_dict()))
+    code, out, _ = run_cli(["solve", "--instance", str(path), "--method", "brute-force"], capsys)
+    assert code == 0
+    optimum = json.loads(out)["a_value"]
+    code, out, _ = run_cli(["solve", "--instance", str(path), "--method", "lp-bound"], capsys)
+    assert code == 0
+    assert json.loads(out)["upper_bound"] >= optimum
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--node-budget", "-5"), ("--budget-seconds", "-1"), ("--budget-seconds", "nan"),
+     ("--budget-seconds", "inf")],
+)
+def test_solve_rejects_a_bad_budget(tmp_path, capsys, flag, value):
+    path = write_instance(tmp_path, capsys, n=6)
+    code, out, err = run_cli(
+        ["solve", "--instance", str(path), "--method", "exact", flag, value], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["code"] == "bad-arguments"
+
+
+def test_solve_takes_a_zero_budget(tmp_path, capsys):
+    path = write_instance(tmp_path, capsys, n=6)
+    code, out, _ = run_cli(
+        ["solve", "--instance", str(path), "--method", "exact", "--node-budget", "0",
+         "--budget-seconds", "0"],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["stats"]["nodes"] == 0
 
 
 @pytest.mark.parametrize(

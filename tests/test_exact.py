@@ -26,7 +26,13 @@ from pclopt import (
     revenue_upper_bound,
 )
 
-from conftest import random_instance, toy_instance
+from conftest import (
+    assert_matches_all_pairs_lp,
+    past_prefix_instance,
+    random_instance,
+    small_utility_instance,
+    toy_instance,
+)
 
 
 def test_formulation_shapes_and_signs():
@@ -101,6 +107,62 @@ def test_lp_solution_structure_and_bound_property():
         )
         oracle = brute_force_oracle(inst)
         assert lp.objective_value >= oracle.a_value - 1e-8
+
+
+def test_lp_bound_holds_at_small_utilities():
+    # alpha near -300 puts every mu above -1e-129: a pair row is a candidate
+    # because mu < 0, not because mu is below some absolute floor
+    inst = small_utility_instance()
+    lp = lp_relaxation(inst)
+    assert lp.objective_value >= brute_force_oracle(inst).a_value
+    assert_matches_all_pairs_lp(inst, lp.objective_value)
+
+
+def test_lp_bound_holds_when_highs_stops_early():
+    # everything fits, but adding product 1 to {0, 2} gains 1.9e-11, below
+    # HiGHS's tolerance: its x = (1, 0, 1) falls 1.8e-12 short of the optimum
+    inst = toy_instance(
+        [1.3316433683572457, -0.7624467064848623, 1.168735617426501],
+        [3.041879829846108, 6.389630581446333, 4.66553372868759],
+        14.81645683520349,
+        gamma=np.array([0.08877720084723388, 1e-310, 1e-310]),
+    )
+    assert lp_relaxation(inst).objective_value >= brute_force_oracle(inst).a_value
+
+
+def test_lp_rows_grow_past_the_seeded_prefix():
+    # the first LP's answer x_0 = x_3 = 1 violates the unseeded pair (0, 3)
+    inst = past_prefix_instance()
+    lp = lp_relaxation(inst)
+    assert lp.lp_solves == 2
+    assert lp.x_frac == pytest.approx([0.5, 0.5, 0.5, 0.5, 0.0], abs=1e-9)
+    assert_matches_all_pairs_lp(inst, lp.objective_value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_lp_relaxation_matches_the_all_pairs_lp(data):
+    n = data.draw(st.integers(2, 14))
+    shift = data.draw(st.sampled_from([0.0, -300.0, -700.0, 700.0]))
+    # base utilities at most 3 keep A below the float range at shift 700
+    alpha = [shift + a for a in data.draw(st.lists(st.floats(-5.0, 3.0), min_size=n, max_size=n))]
+    gammas = data.draw(st.lists(
+        st.one_of(st.just(1e-310), st.just(1.0), st.floats(1e-3, 1.0)),
+        min_size=pair_count(n), max_size=pair_count(n),
+    ))
+    weights = data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    capacity = data.draw(st.floats(0.05, 1.1)) * sum(weights)
+    inst = toy_instance(alpha, weights, capacity, gamma=np.array(gammas))
+    lp = lp_relaxation(inst)
+    assert_matches_all_pairs_lp(inst, lp.objective_value)
+
+
+@pytest.mark.parametrize("n", [400, 1000])
+@pytest.mark.parametrize("index", [0, 1])
+def test_lp_relaxation_solves_once_or_twice_at_full_scale(n, index):
+    # the seeded prefix holds the final rows; lazy rounds alone took 4-9 solves
+    inst = generate_instance(GeneratorConfig(n, 0.04, derive_seed(0, n, 0.04, index)))
+    assert lp_relaxation(inst).lp_solves <= 2
 
 
 def test_majorant_bound_cases_and_chain():
@@ -351,6 +413,8 @@ def test_branch_and_bound_matches_brute_force_on_random_inputs(data):
     # a_value's pair sum can put equal assortments an ulp apart (seven equal
     # products at alpha = 700 with room for one)
     assert result.a_value == pytest.approx(oracle.a_value, rel=1e-14, abs=0.0)
+
+    assert lp_relaxation(inst).objective_value >= oracle.a_value * (1 - 1e-12)
 
     budget = data.draw(st.integers(1, 30))
     budgeted = branch_and_bound(inst, BranchBoundConfig(node_budget=budget))
