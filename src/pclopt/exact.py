@@ -158,6 +158,36 @@ def _pair_positions(products: np.ndarray, n: int):
     return i * n - i * (i + 1) // 2 + (j - i - 1), i, j
 
 
+def _weak_duality_bound(cost, a_ub, b_ub, u, exponent) -> float:
+    """u'b plus the positive reduced costs, unscaled by 2^-exponent: for
+    any u >= 0 it bounds max -cost'z over A z <= b, 0 <= z <= 1 above."""
+    return float(np.ldexp(
+        u @ b_ub + np.maximum(0.0, -cost - a_ub.T @ u).sum(), -exponent
+    ))
+
+
+def _refined_duals(cost, a_ub, u, z) -> np.ndarray:
+    """HiGHS's duals u after one least-squares step that zeroes the reduced
+    costs of the columns strictly inside their bounds (the basic ones),
+    moving only the rows with u > 0.
+
+    HiGHS leaves a basic column a residual reduced cost up to its dual
+    tolerance, and the weak-duality bound counts it at the column's upper
+    bound: 1.7e-11 on one y column put the bound 1e-11 (relative) above
+    the LP optimum.
+    """
+    basic = np.flatnonzero((z > 0.0) & (z < 1.0))
+    rows = np.flatnonzero(u > 0.0)
+    if not (basic.size and rows.size):
+        return u
+    a_basic = a_ub[:, basic]
+    residual = -cost[basic] - a_basic.T @ u
+    step = np.linalg.lstsq(a_basic[rows].T.toarray(), residual, rcond=None)[0]
+    refined = u.copy()
+    refined[rows] = np.maximum(0.0, u[rows] + step)
+    return refined
+
+
 def lp_relaxation(instance: Instance) -> LpSolution:
     """Optimal LP relaxation; its objective bounds A(x) for all feasible x.
 
@@ -174,8 +204,9 @@ def lp_relaxation(instance: Instance) -> LpSolution:
     products.
 
     The reported objective is the canonical full one at x, unless HiGHS's
-    duals bound the LP above it by more than rounding; then it is that
-    dual bound, which stays valid when HiGHS stops within its tolerance.
+    duals, as returned and refined on its basis, both bound the LP above
+    it by more than rounding; then it is the smaller dual bound, which
+    stays valid when HiGHS stops within its tolerance.
     """
     n = instance.n
     I, J = instance.pair_i, instance.pair_j
@@ -228,14 +259,16 @@ def lp_relaxation(instance: Instance) -> LpSolution:
             y = np.zeros(mu.size)
             y[pos] = np.maximum(0.0, excess)
             # HiGHS may stop on a reduced cost below its tolerance with x
-            # short of the optimum; the weak-duality bound of its duals,
-            # u'b + sum of the positive reduced costs, never falls below it
+            # short of the optimum; the weak-duality bound of its duals
+            # never falls below it; when it lies past rounding, the duals
+            # refined on the basis give the tighter of two valid bounds
             u = np.maximum(0.0, -res.ineqlin.marginals)
             with np.errstate(over="ignore", invalid="ignore"):
                 objective = float(lin_costs @ x + mu @ y)
-                dual = float(np.ldexp(
-                    u @ b_ub + np.maximum(0.0, -cost - a_ub.T @ u).sum(), -exponent
-                ))
+                dual = _weak_duality_bound(cost, a_ub, b_ub, u, exponent)
+                if dual - objective > _DUALITY_GAP_REL_TOL * abs(objective):
+                    refined = _refined_duals(cost, a_ub, u, res.x)
+                    dual = min(dual, _weak_duality_bound(cost, a_ub, b_ub, refined, exponent))
             if dual - objective > _DUALITY_GAP_REL_TOL * abs(objective):
                 objective = dual
             if not np.isfinite(objective):

@@ -130,6 +130,21 @@ def test_lp_bound_holds_when_highs_stops_early():
     assert lp_relaxation(inst).objective_value >= brute_force_oracle(inst).a_value
 
 
+def test_lp_bound_is_tight_when_a_basic_column_keeps_a_residual_reduced_cost():
+    # HiGHS's duals leave the basic y column of pair (6, 7) a reduced cost
+    # of 1.7e-11; counted at y's upper bound 1, it put the weak-duality
+    # bound 1e-11 (relative) above the LP optimum
+    gamma = np.full(pair_count(8), 1e-310)
+    gamma[[3, 6]] = 1.0
+    weights = [0.125, 2.0, 2.0, 2.0, 1.0, 9.0, 0.99999, 1.0]
+    inst = toy_instance([0.0] * 6 + [0.99999, 1.0], weights, sum(weights) / 16, gamma=gamma)
+    lp = lp_relaxation(inst)
+    coeffs = coefficients(inst)
+    # the refined duals certify x, so the objective at x is reported
+    assert lp.objective_value == float(coeffs.lin_costs @ lp.x_frac + coeffs.mu @ lp.y_frac)
+    assert_matches_all_pairs_lp(inst, lp.objective_value)
+
+
 def test_lp_rows_grow_past_the_seeded_prefix():
     # the first LP's answer x_0 = x_3 = 1 violates the unseeded pair (0, 3)
     inst = past_prefix_instance()
