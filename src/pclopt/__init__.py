@@ -45,7 +45,6 @@ from .instance import (
 from .objective import (
     LinearizedCoefficients,
     a_value,
-    a_value_linearized,
     coefficients,
     incremental_a_delta,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "SolveStats",
     "ValidationError",
     "a_value",
-    "a_value_linearized",
     "branch_and_bound",
     "brute_force_oracle",
     "choice_probabilities",

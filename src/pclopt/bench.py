@@ -23,7 +23,7 @@ import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -149,7 +149,7 @@ def _solve_one(task):
     """Run the requested methods on one generated instance; returns the log
     record.  ``exact_time_s`` times the search alone, from the GRASP answer."""
     (n, kappa, index, master_seed, methods, beta, integer_weights,
-     rcl_max, max_iter, node_budget, time_budget_s) = task
+     grasp_config, bb_config) = task
     seed = derive_seed(master_seed, n, kappa, index)
     instance = generate_instance(
         GeneratorConfig(n=n, kappa=kappa, seed=seed, beta=beta,
@@ -179,15 +179,14 @@ def _solve_one(task):
     if "grasp" in methods or "exact" in methods:
         grasp_seed = derive_seed(master_seed, n, kappa, index, "grasp")
         t0 = time.perf_counter()
-        grasp_result = grasp(instance, GraspConfig(rcl_max, max_iter, grasp_seed))
+        grasp_result = grasp(instance, replace(grasp_config, seed=grasp_seed))
         record["grasp_time_s"] = time.perf_counter() - t0
     if "grasp" in methods:
         record["grasp_a_value"] = grasp_result.a_value
         record["grasp_revenue"] = grasp_result.revenue
     if "exact" in methods:
-        config = BranchBoundConfig(node_budget=node_budget, time_budget_s=time_budget_s)
         t0 = time.perf_counter()
-        result = branch_and_bound(instance, config, grasp_result.assortment)
+        result = branch_and_bound(instance, bb_config, grasp_result.assortment)
         record["exact_time_s"] = time.perf_counter() - t0
         record["exact_a_value"] = result.a_value
         record["exact_revenue"] = result.revenue
@@ -265,6 +264,9 @@ def run_experiment(
             raise ValueError(
                 "exact solves on large instances require a node or time budget"
             )
+    # bad solver settings are refused before any instance is generated
+    grasp_config = GraspConfig(grasp_rcl_max, grasp_max_iter)
+    bb_config = BranchBoundConfig(node_budget=node_budget, time_budget_s=time_budget_s)
     if not methods:
         return []
 
@@ -275,7 +277,7 @@ def run_experiment(
         for n, kappa in grid:
             tasks = [
                 (n, kappa, index, master_seed, methods, beta, integer_weights,
-                 grasp_rcl_max, grasp_max_iter, node_budget, time_budget_s)
+                 grasp_config, bb_config)
                 for index in range(instances_per_combo)
             ]
             if pool is not None:

@@ -155,6 +155,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    # bad solver flags are refused, whatever the method, before any work
+    grasp_config = GraspConfig(args.rcl_max, args.max_iter, args.seed)
+    bb_config = BranchBoundConfig(args.node_budget, args.budget_seconds)
     instance = _load_instance(args.instance)
     t0 = time.perf_counter()
     if args.method == "greedy":
@@ -167,10 +170,9 @@ def _cmd_solve(args) -> int:
     elif args.method == "lp-bound":
         result = lp_bound_answer(instance)
     else:  # grasp, and exact, whose search starts from the GRASP answer
-        result = grasp(instance, GraspConfig(args.rcl_max, args.max_iter, args.seed))
+        result = grasp(instance, grasp_config)
         if args.method == "exact":
-            config = BranchBoundConfig(args.node_budget, args.budget_seconds)
-            result = branch_and_bound(instance, config, result.assortment)
+            result = branch_and_bound(instance, bb_config, result.assortment)
     result.stats.wall_time_s = time.perf_counter() - t0
     _dump(result.to_dict(), args.out)
     return 0

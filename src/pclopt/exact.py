@@ -37,7 +37,8 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .heuristics import grasp, greedy  # noqa: F401 -- unused; the benchmark's tracer patches them
-from .instance import Instance, is_feasible, tie_break_prefer, validate_assortment
+from .instance import (Instance, is_feasible, pair_positions, tie_break_prefer,
+                       validate_assortment)
 from .objective import a_value, coefficients
 from .pricing import SolveResult, SolveStats, optimal_uniform_price, price_for_a
 
@@ -149,15 +150,6 @@ def knapsack_majorant_bound(instance: Instance) -> float:
     return (instance.n - 1) * best
 
 
-def _pair_positions(products: np.ndarray, n: int):
-    """Storage positions and endpoints (i < j) of every pair among
-    ``products``, in storage order; O(m^2) in the m products given."""
-    p = np.sort(products)
-    a, b = np.triu_indices(p.size, k=1)
-    i, j = p[a], p[b]
-    return i * n - i * (i + 1) // 2 + (j - i - 1), i, j
-
-
 def _weak_duality_bound(cost, a_ub, b_ub, u, exponent) -> float:
     """u'b plus the positive reduced costs, unscaled by 2^-exponent: for
     any u >= 0 it bounds max -cost'z over A z <= b, 0 <= z <= 1 above."""
@@ -225,7 +217,7 @@ def lp_relaxation(instance: Instance) -> LpSolution:
 
     solves = 0
     for _ in range(mu.size + 2):
-        seeded, _, _ = _pair_positions(order[:prefix], n)
+        seeded, _, _ = pair_positions(order[:prefix], n)
         included[seeded[mu[seeded] < 0.0]] = True
         sel = np.flatnonzero(included)
         k = sel.size
@@ -252,7 +244,7 @@ def lp_relaxation(instance: Instance) -> LpSolution:
         if res.status != 0:
             raise RuntimeError(f"LP solve failed with status {res.status}: {res.message}")
         x = res.x[:n]
-        pos, i, j = _pair_positions(np.flatnonzero(x > 0.0), n)
+        pos, i, j = pair_positions(np.flatnonzero(x > 0.0), n)
         excess = x[i] + x[j] - 1.0
         violated = (mu[pos] < 0.0) & ~included[pos] & (excess > 1e-12)
         if not violated.any():
@@ -307,8 +299,9 @@ def brute_force_oracle(instance: Instance) -> SolveResult:
     """Exhaustive optimum over all 2^n assortments (guarded at n <= 22).
 
     Feasible assortments are screened with the linearized objective in bulk;
-    near-maximal candidates are then re-evaluated with the canonical pair-sum
-    A so the reported value uses the same arithmetic as every other solver.
+    near-maximal candidates are then re-evaluated with ``a_value``, A on the
+    offered set, so the reported value uses the same arithmetic as every
+    other solver.
     Ties prefer the assortment offering the lowest-indexed products.
     """
     n = instance.n

@@ -19,7 +19,7 @@ from .instance import Instance, tie_break_prefer
 from .objective import a_value, coefficients, incremental_a_delta
 from .pricing import SolveResult, SolveStats, optimal_uniform_price
 
-# accept a swap only if it improves A beyond float noise, to avoid cycling
+# accept a swap only if it improves A by more than this share of A (float noise), to avoid cycling
 _IMPROVE_TOL = 1e-12
 
 
@@ -108,7 +108,7 @@ def _local_search(instance, x, max_iter, rng):
         delta = incremental_a_delta(instance, x, inc, "add")
         x[inc] = 1
         delta += incremental_a_delta(instance, x, out, "remove")
-        if delta > _IMPROVE_TOL * max(1.0, current_a):
+        if delta > _IMPROVE_TOL * current_a:
             x[out] = 0
             current_weight += weights[inc] - weights[out]
             current_a += delta

@@ -52,6 +52,16 @@ def pair_members(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, k=1)
 
 
+def pair_positions(products: np.ndarray, n: int):
+    """Storage positions and endpoints (i < j) of every pair among the
+    distinct ``products``, in storage order if they are sorted; O(m^2) in
+    the m products given."""
+    a, b = np.nonzero(np.less.outer(products, products))
+    i, j = products[a], products[b]
+    # i*n - i*(i+1)/2 + (j - i - 1), in fewer array operations
+    return i * (2 * n - 3 - i) // 2 + j - 1, i, j
+
+
 def _as_float_array(value, name: str, length: int | None = None) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)

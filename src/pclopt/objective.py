@@ -12,13 +12,14 @@ offered: rho_ij (both), theta_i or theta_j (one), or 0 (none), where
 
 With mu_ij = rho_ij - theta_i - theta_j <= 0 this is identically
 
-    A(x) = sum over i<j of (mu_ij x_i x_j + theta_i x_i + theta_j x_j)
+    A(x) = (n-1) sum_i theta_i x_i + sum over i<j of mu_ij x_i x_j
 
-which is the quadratic form the exact solver linearizes.  rho is the nest
-value of the choice model at zero prices, evaluated in log space by
-``choice.log_nest_value`` without ever forming alpha/gamma, so tiny (even
-subnormal) gammas neither overflow nor underflow; pairs with gamma_ij == 1 get
-rho = theta_i + theta_j exactly, making mu exactly zero there.
+the quadratic form the exact solver linearizes and ``a_value`` evaluates on
+the offered set alone.  rho, the nest value of the choice model at zero
+prices, is a step towards mu only: ``choice.log_nest_value`` evaluates it in
+log space without forming alpha/gamma, so tiny (even subnormal) gammas
+neither overflow nor underflow, and mu is set to exactly zero where
+gamma_ij == 1.
 
 ``coefficients(instance)`` builds these arrays once per instance and caches
 them on it; every solver, bound and heuristic reads them from there.
@@ -31,16 +32,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .choice import log_nest_value
-from .instance import Instance, validate_assortment
+from .instance import Instance, pair_members, pair_positions, validate_assortment
 
 
 @dataclass
 class LinearizedCoefficients:
-    """theta per product, rho and mu = rho - theta_i - theta_j per pair, and
+    """theta per product, mu = rho - theta_i - theta_j per pair, and
     lin_costs = (n-1) theta, the regrouped linear part of the program."""
 
     theta: np.ndarray
-    rho: np.ndarray
     mu: np.ndarray
     lin_costs: np.ndarray
     _mu_matrix: np.ndarray | None = field(
@@ -55,19 +55,18 @@ class LinearizedCoefficients:
             theta = np.exp(instance.alpha)
             log_rho = log_nest_value(instance.alpha[I], instance.alpha[J], gam)
             rho = np.exp(log_rho, out=log_rho)
-            unit = gam == 1.0
-            rho[unit] = theta[I[unit]] + theta[J[unit]]
             # subadditivity of t -> t^gamma guarantees mu <= 0; clamp log/exp noise
             mu = np.minimum(rho - theta[I] - theta[J], 0.0)
+            mu[gam == 1.0] = 0.0  # rho = theta_i + theta_j, without its rounding
             lin_costs = (instance.n - 1) * theta
         if not (np.isfinite(lin_costs).all() and np.isfinite(mu).all()):
             raise OverflowError(f"exp({max(instance.alpha):g}) overflows the float range")
-        return cls(theta=theta, rho=rho, mu=mu, lin_costs=lin_costs)
+        return cls(theta=theta, mu=mu, lin_costs=lin_costs)
 
     def mu_matrix(self, n: int) -> np.ndarray:
         """Dense symmetric mu with zero diagonal, built on first use."""
         if self._mu_matrix is None:
-            I, J = np.triu_indices(n, k=1)
+            I, J = pair_members(n)
             mat = np.zeros((n, n))
             mat[I, J] = self.mu
             mat[J, I] = self.mu
@@ -87,29 +86,20 @@ def coefficients(instance: Instance) -> LinearizedCoefficients:
 
 
 def a_value(instance: Instance, x) -> float:
-    """A(x), the pair-sum objective.  Empty pairs contribute 0."""
+    """A(x) from the offered set S alone, in O(|S|^2 + n): the linear part
+    (n-1) sum theta_i over S plus mu_ij over the pairs inside S."""
     x = validate_assortment(instance, x)
     coeffs = coefficients(instance)
-    on = x.astype(bool)
-    on_i, on_j = on[instance.pair_i], on[instance.pair_j]
-    theta_i = coeffs.theta[instance.pair_i]
-    theta_j = coeffs.theta[instance.pair_j]
-    terms = np.where(on_i & on_j, coeffs.rho, on_i * theta_i + on_j * theta_j)
-    with np.errstate(over="ignore"):  # an infinite A is refused when priced
-        return float(np.sum(terms))
-
-
-def a_value_linearized(instance: Instance, x) -> float:
-    """A(x) through the quadratic identity mu x_i x_j + theta_i x_i + theta_j x_j."""
-    x = validate_assortment(instance, x).astype(float)
-    coeffs = coefficients(instance)
-    xi, xj = x[instance.pair_i], x[instance.pair_j]
-    terms = (
-        coeffs.mu * xi * xj
-        + coeffs.theta[instance.pair_i] * xi
-        + coeffs.theta[instance.pair_j] * xj
-    )
-    return float(np.sum(terms))
+    offered = np.flatnonzero(x)
+    lin = coeffs.lin_costs[offered]
+    mu = coeffs.mu[pair_positions(offered, instance.n)[0]]
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite A is refused when priced
+        a = lin.sum() + mu.sum()
+        if not np.isfinite(a):
+            # the linear part is at most 2A, so it may overflow where A
+            # does not; halved, neither sum can
+            a = 2.0 * (np.ldexp(lin, -1).sum() + np.ldexp(mu, -1).sum())
+    return float(a)
 
 
 def incremental_a_delta(

@@ -9,7 +9,9 @@ from pclopt import (
     coefficients,
     generate_instance,
     pair_count,
+    validate_assortment,
 )
+from pclopt.choice import log_nest_value
 
 
 @pytest.fixture
@@ -41,6 +43,22 @@ EXTREME_CHOICE_CASES = [
                  [0.0, 0.152163021541603, 0.827243952839925], 0.0205930256184717,
                  id="subnormal-gamma-one-left-out"),
 ]
+
+
+def pair_sum_a(instance: Instance, x) -> float:
+    """A(x) as the sum of its n(n-1)/2 pair terms: rho_ij where both
+    members are offered, theta_i or theta_j where one is, 0 where neither
+    is.  An oracle for a_value, which evaluates the quadratic form on the
+    offered set instead."""
+    on = validate_assortment(instance, x).astype(bool)
+    I, J = instance.pair_i, instance.pair_j
+    gam = instance.gamma_upper
+    with np.errstate(over="ignore"):
+        theta = np.exp(instance.alpha)
+        rho = np.exp(log_nest_value(instance.alpha[I], instance.alpha[J], gam))
+        rho[gam == 1.0] = theta[I[gam == 1.0]] + theta[J[gam == 1.0]]
+        terms = np.where(on[I] & on[J], rho, on[I] * theta[I] + on[J] * theta[J])
+        return float(np.sum(terms))
 
 
 def toy_instance(alpha, weights, capacity, beta=0.1, gamma=1.0) -> Instance:

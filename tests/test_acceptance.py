@@ -17,7 +17,6 @@ from pclopt import (
     GeneratorConfig,
     GraspConfig,
     a_value,
-    a_value_linearized,
     branch_and_bound,
     brute_force_oracle,
     choice_probabilities,
@@ -33,7 +32,7 @@ from pclopt import (
     simulate_choice,
 )
 
-from conftest import random_feasible_assortment
+from conftest import pair_sum_a, random_feasible_assortment
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -159,8 +158,8 @@ def test_criterion_5_linearization_identity():
         inst = _instance(int(rng.integers(2**32)), n, float(rng.uniform(0.1, 0.9)))
         for mask in range(1 << n):
             x = np.array([(mask >> k) & 1 for k in range(n)], dtype=np.int8)
-            direct = a_value(inst, x)
-            linear = a_value_linearized(inst, x)
+            direct = pair_sum_a(inst, x)
+            linear = a_value(inst, x)
             worst = max(worst, abs(direct - linear) / max(1.0, abs(direct)))
     elapsed = time.perf_counter() - t0
     _report(

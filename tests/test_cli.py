@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import pclopt.bench
+import pclopt.cli
 import pclopt.exact
 from pclopt import (
     Instance,
@@ -166,6 +168,45 @@ def test_solve_rejects_a_bad_budget(tmp_path, capsys, flag, value):
     path = write_instance(tmp_path, capsys, n=6)
     code, out, err = run_cli(
         ["solve", "--instance", str(path), "--method", "exact", flag, value], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["code"] == "bad-arguments"
+
+
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("work started before the arguments were checked")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--method", "exact", "--node-budget", "-5"],
+     ["--method", "exact", "--budget-seconds", "nan"],
+     ["--method", "grasp", "--rcl-max", "0"],
+     ["--method", "greedy", "--node-budget", "-5"]],
+    ids=["exact-node-budget", "exact-budget-seconds", "grasp-rcl-max", "greedy-node-budget"],
+)
+def test_solve_refuses_a_bad_config_before_solving(tmp_path, capsys, monkeypatch, flags):
+    path = write_instance(tmp_path, capsys, n=6)
+    for solver in ("grasp", "greedy", "branch_and_bound"):
+        monkeypatch.setattr(pclopt.cli, solver, _refuse_work)
+    code, out, err = run_cli(["solve", "--instance", str(path), *flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["code"] == "bad-arguments"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--node-budget", "-5"], ["--budget-seconds", "-1"], ["--rcl-max", "0"],
+     ["--max-iter", "-1"]],
+    ids=["node-budget", "budget-seconds", "rcl-max", "max-iter"],
+)
+def test_bench_refuses_a_bad_config_before_generating(capsys, monkeypatch, flags):
+    monkeypatch.setattr(pclopt.bench, "generate_instance", _refuse_work)
+    monkeypatch.setattr(pclopt.bench, "grasp", _refuse_work)
+    code, out, err = run_cli(
+        ["bench", "--grid", "6:0.2", "--instances", "1", *flags], capsys
     )
     assert code == 2
     assert out == ""

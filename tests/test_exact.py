@@ -241,6 +241,16 @@ def test_branch_and_bound_search_is_scale_free(shift):
     assert branch_and_bound(tie).assortment.tolist() == [1, 0]
 
 
+def test_equal_products_have_equal_a_and_the_tie_goes_to_product_one():
+    # a sum over all pairs put A({3}) an ulp above A({0}) here, so brute
+    # force offered {3}; on the offered set alone both are exp(700) * 6
+    inst = toy_instance([700.0] * 7, [1.0] * 7, 1.0, gamma=1e-310)
+    singletons = np.eye(7, dtype=np.int8)
+    assert a_value(inst, singletons[0]) == a_value(inst, singletons[3])
+    assert brute_force_oracle(inst).assortment.tolist() == singletons[0].tolist()
+    assert branch_and_bound(inst).assortment.tolist() == singletons[0].tolist()
+
+
 @pytest.mark.parametrize(
     "alpha, weights, capacity, expected_x",
     [
@@ -361,21 +371,21 @@ PINNED_SEARCHES = [
     ((50, 0.04, 0, None),
      ("optimal", 439, [6, 8, 23, 27, 38, 45], 1055.6986948396477, 1055.6986948396477)),
     ((50, 0.06, 2, None),
-     ("optimal", 271, [0, 17, 20, 22, 24, 34, 45, 46], 1609.8363903535485, 1609.8363903535485)),
+     ("optimal", 271, [0, 17, 20, 22, 24, 34, 45, 46], 1609.8363903535483, 1609.8363903535483)),
     ((100, 0.02, 1, None),
-     ("optimal", 807, [37, 40, 52, 66, 71, 72, 82], 2754.4695243895567, 2754.4695243895567)),
+     ("optimal", 807, [37, 40, 52, 66, 71, 72, 82], 2754.469524389556, 2754.469524389556)),
     ((100, 0.04, 0, None),
      ("optimal", 4123, [0, 13, 14, 48, 52, 60, 65, 72, 86, 87, 99],
       4422.0534966454, 4422.0534966454)),
     ((100, 0.06, 1, None),
      ("optimal", 2197, [1, 2, 19, 25, 29, 30, 35, 36, 38, 51, 57, 64, 72, 87, 89],
-      5960.111262996541, 5960.111262996541)),
+      5960.11126299654, 5960.11126299654)),
     ((400, 0.04, 0, 2000),
      ("feasible", 2000,
       [6, 19, 29, 42, 43, 44, 47, 49, 55, 61, 65, 93, 98, 117, 118, 127, 162, 171, 175,
        184, 195, 200, 205, 211, 224, 249, 251, 268, 274, 276, 290, 298, 318, 328, 341,
        343, 351, 363, 376, 380, 389, 390, 395],
-      63844.495133058575, 65590.15055278)),
+      63844.49513305859, 65590.15055278)),
 ]
 
 
@@ -424,9 +434,7 @@ def test_branch_and_bound_matches_brute_force_on_random_inputs(data):
     assert is_feasible(inst, result.assortment)
     # equal to rounding, not bit for bit, and either of two tied assortments:
     # branch-and-bound closes a subtree on a fill that attains its majorant
-    # without searching it for a tie that tie_break_prefer ranks first, and
-    # a_value's pair sum can put equal assortments an ulp apart (seven equal
-    # products at alpha = 700 with room for one)
+    # without searching it for a tie that tie_break_prefer ranks first
     assert result.a_value == pytest.approx(oracle.a_value, rel=1e-14, abs=0.0)
 
     assert lp_relaxation(inst).objective_value >= oracle.a_value * (1 - 1e-12)

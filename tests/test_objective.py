@@ -1,17 +1,23 @@
 import math
 
+import pclopt.exact
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pclopt import (
     Instance,
     a_value,
-    a_value_linearized,
     coefficients,
     incremental_a_delta,
+    knapsack_majorant_bound,
+    lp_relaxation,
+    pair_count,
 )
 
-from conftest import random_instance, toy_instance
+from conftest import pair_sum_a, random_instance, toy_instance
 
 
 def test_a_value_hand_cases():
@@ -29,7 +35,8 @@ def test_coefficient_signs_and_dominance():
         coeffs = coefficients(inst)
         I, J = inst.pair_i, inst.pair_j
         assert np.all(coeffs.mu <= 0.0)
-        assert np.all(coeffs.rho >= np.maximum(coeffs.theta[I], coeffs.theta[J]))
+        # rho = mu + theta_i + theta_j >= max(theta_i, theta_j)
+        assert np.all(coeffs.mu >= -np.minimum(coeffs.theta[I], coeffs.theta[J]))
         # mu vanishes exactly when gamma is 1
         unit = inst.gamma_upper == 1.0
         assert np.all(coeffs.mu[unit] == 0.0)
@@ -69,16 +76,40 @@ def test_linearization_identity_exhaustive():
         inst = random_instance(seed + 50, n=8)
         for mask in range(1 << inst.n):
             x = np.array([(mask >> k) & 1 for k in range(inst.n)], dtype=np.int8)
-            direct = a_value(inst, x)
-            linear = a_value_linearized(inst, x)
+            direct = pair_sum_a(inst, x)
+            linear = a_value(inst, x)
             assert abs(direct - linear) <= 1e-9 * max(1.0, abs(direct))
+
+
+def test_mu_is_exactly_zero_on_an_all_unit_gamma_instance(monkeypatch):
+    # (theta_i + theta_j) - theta_i - theta_j leaves the sum's rounding,
+    # about -1e-16 on a quarter of these pairs, and each such mu put a
+    # noise row into the LP
+    rng = np.random.default_rng(0)
+    n = 200
+    weights = rng.uniform(1.0, 10.0, n)
+    inst = toy_instance(
+        np.log(5.0 * (1.0 - rng.random(n))), weights, 0.04 * weights.sum(), gamma=1.0
+    )
+    assert np.all(coefficients(inst).mu == 0.0)
+    rows = []
+    linprog = pclopt.exact.linprog
+
+    def recording(*args, **kwargs):
+        rows.append(kwargs["A_ub"].shape[0])
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(pclopt.exact, "linprog", recording)
+    lp = lp_relaxation(inst)
+    assert rows == [1]  # the capacity row alone
+    assert lp.objective_value == pytest.approx(knapsack_majorant_bound(inst), rel=1e-14)
 
 
 def test_linearization_identity_vanishes_at_gamma_one():
     inst = toy_instance([0.0, 0.0], [1.0, 1.0], 2.0, gamma=1.0)
     coeffs = coefficients(inst)
     assert coeffs.mu[0] == 0.0
-    assert a_value_linearized(inst, [1, 1]) == pytest.approx(2.0, abs=1e-12)
+    assert a_value(inst, [1, 1]) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_incremental_delta_on_empty_assortment():
@@ -140,3 +171,26 @@ def test_a_value_monotone_under_inclusion():
         grown = x.copy()
         grown[zeros[0]] = 1
         assert a_value(inst, grown) >= base
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_value_matches_the_pair_sum(data):
+    n = data.draw(st.integers(2, 12))
+    shift = data.draw(st.sampled_from([0.0, -700.0, 700.0]))
+    # base utilities at most 3 keep A below the float range at shift 700
+    alpha = [shift + a for a in data.draw(st.lists(st.floats(-5.0, 3.0), min_size=n, max_size=n))]
+    gammas = data.draw(st.lists(
+        st.one_of(st.just(1e-310), st.just(1.0), st.floats(1e-3, 1.0)),
+        min_size=pair_count(n), max_size=pair_count(n),
+    ))
+    inst = toy_instance(alpha, [1.0] * n, float(n), gamma=np.array(gammas))
+    x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
+    assert a_value(inst, x) == pytest.approx(pair_sum_a(inst, x), rel=1e-13, abs=0.0)
+
+
+def test_a_value_is_finite_where_its_linear_part_overflows():
+    # (n-1) sum theta = 6 exp(708.5) overflows; A = 3 exp(708.5) does not
+    inst = toy_instance([708.5] * 3, [1.0] * 3, 3.0, gamma=1e-310)
+    assert a_value(inst, [1, 1, 1]) == pytest.approx(3.0 * math.exp(708.5), rel=1e-13)
+    assert a_value(inst, [1, 1, 1]) == pytest.approx(pair_sum_a(inst, [1, 1, 1]), rel=1e-13)
