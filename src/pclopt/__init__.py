@@ -42,12 +42,7 @@ from .instance import (
     validate_assortment,
     validate_prices,
 )
-from .objective import (
-    LinearizedCoefficients,
-    a_value,
-    coefficients,
-    incremental_a_delta,
-)
+from .objective import LinearizedCoefficients, a_value, coefficients
 from .pricing import (
     SolveResult,
     SolveStats,
@@ -84,7 +79,6 @@ __all__ = [
     "generate_instance",
     "grasp",
     "greedy",
-    "incremental_a_delta",
     "is_feasible",
     "knapsack_majorant_bound",
     "lambert_w0",

@@ -7,6 +7,11 @@ with rcl = 1.  GRASP runs it for restricted-candidate-list sizes
 1..rcl_max, follows each construction with a swap local search, and keeps
 the best assortment found.  Its rcl = 1 round is greedy followed by
 strictly improving swaps, so GRASP can never do worse than greedy.
+
+The local search carries each product's single-flip gain in A across its
+trials (the one-flip bookkeeping of binary quadratic local search), so a
+swap trial costs O(1) and an accepted swap O(n).  A round takes all its
+draws in one RNG call, from the same stream as one draw per pick.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance, tie_break_prefer
-from .objective import a_value, coefficients, incremental_a_delta
+from .objective import a_value, coefficients
 from .pricing import SolveResult, SolveStats, optimal_uniform_price
 
 # accept a swap only if it improves A by more than this share of A (float noise), to avoid cycling
@@ -87,34 +92,49 @@ def _construct(instance, order, rcl, rng):
     return x
 
 
+def _add_gain(instance, offered):
+    """gain[k] = A(x + e_k) - A(x) for k outside the offered set S and
+    A(x) - A(x - e_k) for k in it: (n-1) theta_k plus k's mu entries
+    against S (mu's diagonal is zero).  Summing |S| rows keeps this
+    O(|S| n); a mat-vec over all n rows is slower at n = 1000."""
+    coeffs = coefficients(instance)
+    return coeffs.lin_costs + coeffs.mu_matrix(instance.n)[offered].sum(axis=0)
+
+
 def _local_search(instance, x, max_iter, rng):
     """Swap local search: draw one offered and one unoffered product, flip
-    both, keep the move iff it is feasible and strictly increases A."""
-    n = instance.n
-    weights = instance.weights
+    both, keep the move iff it is feasible and strictly increases A.
+
+    A trial costs O(1): with the add gain carried across trials, the swap
+    changes A by gain[inc] - (gain[out] + mu[out, inc]).  An accepted swap
+    costs O(n): it adds mu[inc] - mu[out] to the gain and rebuilds the
+    ascending offered and unoffered index arrays.  Swaps keep |S|, so all
+    trials' draws come from one RNG call, the same stream as one
+    integers(|S|) and one integers(n - |S|) call per trial.
+    """
     x = x.copy()
+    ones, zeros = np.flatnonzero(x), np.flatnonzero(x == 0)
+    if ones.size == 0 or zeros.size == 0:
+        return x, 0
+    weights, capacity = instance.weights, instance.capacity
+    mu_mat = coefficients(instance).mu_matrix(instance.n)
+    gain = _add_gain(instance, ones)
     current_weight = float(weights @ x.astype(float))
     current_a = a_value(instance, x)
     accepted = 0
-    for _ in range(max_iter):
-        ones = np.flatnonzero(x == 1)
-        zeros = np.flatnonzero(x == 0)
-        if ones.size == 0 or zeros.size == 0:
-            break
-        out = int(ones[rng.integers(ones.size)])
-        inc = int(zeros[rng.integers(zeros.size)])
-        if current_weight - weights[out] + weights[inc] > instance.capacity:
+    draws = rng.integers(np.tile([ones.size, zeros.size], max_iter))
+    for i, j in draws.reshape(max_iter, 2).tolist():
+        out, inc = ones[i], zeros[j]
+        if current_weight - weights[out] + weights[inc] > capacity:
             continue
-        delta = incremental_a_delta(instance, x, inc, "add")
-        x[inc] = 1
-        delta += incremental_a_delta(instance, x, out, "remove")
+        delta = gain[inc] - (gain[out] + mu_mat[out, inc])
         if delta > _IMPROVE_TOL * current_a:
-            x[out] = 0
+            x[out], x[inc] = 0, 1
+            gain += mu_mat[inc] - mu_mat[out]
+            ones, zeros = np.flatnonzero(x), np.flatnonzero(x == 0)
             current_weight += weights[inc] - weights[out]
             current_a += delta
             accepted += 1
-        else:
-            x[inc] = 0
     return x, accepted
 
 

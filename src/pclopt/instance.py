@@ -178,7 +178,7 @@ def validate_assortment(instance: Instance, x: Iterable) -> np.ndarray:
         raise ValidationError(
             f"assortment must have length {instance.n}", "assortment"
         )
-    if not np.all((arr == 0) | (arr == 1)):
+    if not ((arr == 0) | (arr == 1)).all():
         bad = int(np.flatnonzero((arr != 0) & (arr != 1))[0])
         raise ValidationError("assortment entries must be 0 or 1", f"assortment[{bad}]")
     return arr.astype(np.int8)

@@ -101,26 +101,3 @@ def a_value(instance: Instance, x) -> float:
             a = 2.0 * (np.ldexp(lin, -1).sum() + np.ldexp(mu, -1).sum())
     return float(a)
 
-
-def incremental_a_delta(
-    instance: Instance, current_x, product_k: int, direction: str
-) -> float:
-    """A(x') - A(x) for adding or removing one product, in O(n).
-
-    Adding k contributes its mu row against the current assortment plus
-    (n-1) theta_k; removal is the exact negation evaluated on the state
-    that still contains k.
-    """
-    x = validate_assortment(instance, current_x).astype(float)
-    coeffs = coefficients(instance)
-    mu_row = coeffs.mu_matrix(instance.n)[product_k]
-    if direction == "add":
-        if x[product_k] != 0:
-            raise ValueError(f"product {product_k} is already offered")
-        return float(mu_row @ x + coeffs.lin_costs[product_k])
-    if direction == "remove":
-        if x[product_k] != 1:
-            raise ValueError(f"product {product_k} is not offered")
-        # diagonal of mu is zero, so k's own entry drops out of the dot product
-        return float(-(mu_row @ x + coeffs.lin_costs[product_k]))
-    raise ValueError("direction must be 'add' or 'remove'")

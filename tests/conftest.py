@@ -6,6 +6,7 @@ from pclopt import (
     GeneratorConfig,
     Instance,
     LinearizedCoefficients,
+    a_value,
     coefficients,
     generate_instance,
     pair_count,
@@ -162,3 +163,39 @@ def random_feasible_assortment(instance, rng) -> np.ndarray:
             x[k] = 1
             remaining -= instance.weights[k]
     return x
+
+
+def reference_local_search(instance, x, max_iter, rng):
+    """GRASP's swap local search as it was before the add gain was carried:
+    two scalar draws per trial, and each trial's A change as two O(n)
+    single-flip deltas, mu_row . x + (n-1) theta for the add and its
+    negation, on the state that holds the added product, for the removal.
+    An oracle for heuristics._local_search, which must accept the same
+    swaps from the same stream."""
+    coeffs = coefficients(instance)
+    mu_mat = coeffs.mu_matrix(instance.n)
+    weights = instance.weights
+    x = x.copy()
+    current_weight = float(weights @ x.astype(float))
+    current_a = a_value(instance, x)
+    accepted = 0
+    for _ in range(max_iter):
+        ones = np.flatnonzero(x == 1)
+        zeros = np.flatnonzero(x == 0)
+        if ones.size == 0 or zeros.size == 0:
+            break
+        out = int(ones[rng.integers(ones.size)])
+        inc = int(zeros[rng.integers(zeros.size)])
+        if current_weight - weights[out] + weights[inc] > instance.capacity:
+            continue
+        delta = float(mu_mat[inc] @ x.astype(float) + coeffs.lin_costs[inc])
+        x[inc] = 1
+        delta += float(-(mu_mat[out] @ x.astype(float) + coeffs.lin_costs[out]))
+        if delta > 1e-12 * current_a:
+            x[out] = 0
+            current_weight += weights[inc] - weights[out]
+            current_a += delta
+            accepted += 1
+        else:
+            x[inc] = 0
+    return x, accepted

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pclopt import (
     GeneratorConfig,
@@ -10,10 +12,11 @@ from pclopt import (
     grasp,
     greedy,
     is_feasible,
+    pair_count,
 )
-from pclopt.heuristics import _construct, _ratio_order
+from pclopt.heuristics import _construct, _local_search, _ratio_order
 
-from conftest import random_instance, toy_instance
+from conftest import random_instance, reference_local_search, toy_instance
 
 
 def test_greedy_picks_top_ratios_that_fit():
@@ -194,3 +197,54 @@ def test_construction_picks_and_draws_are_pinned(name):
         next_draws.append(int(rng.integers(1000)))
     assert rounds == pinned["rounds"]
     assert next_draws == pinned["next_draws"]
+
+
+# (|S|, n - |S|) bounds of a round's draws: ones, values on either side of
+# 2^32, where numpy leaves its 32-bit draw path, and random ones up to 2000
+_DRAW_BOUNDS = [(1, 1), (1, 7), (7, 1), (2**32 - 1, 2**32), (2**32 + 1, 2**32 - 2), (2**32, 2**33)]
+_DRAW_BOUNDS += [tuple(b) for b in np.random.default_rng(5).integers(1, 2001, (20, 2)).tolist()]
+
+
+@pytest.mark.parametrize("k", [0, 1, 80, 200])
+def test_one_tiled_draw_is_the_stream_of_scalar_draws(k):
+    # the local search draws a round's k (offered, unoffered) picks in one
+    # integers call over np.tile([a, b], k): it must give the pairs of k
+    # interleaved integers(a), integers(b) calls and leave the generator in
+    # the same state, so that a numpy change cannot move GRASP's answers
+    for seed, (a, b) in enumerate(_DRAW_BOUNDS):
+        batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        pairs = batched.integers(np.tile([a, b], k)).reshape(k, 2).tolist()
+        assert pairs == [[int(scalar.integers(a)), int(scalar.integers(b))] for _ in range(k)]
+        assert batched.bit_generator.state == scalar.bit_generator.state
+        assert batched.integers(1000) == scalar.integers(1000)
+
+
+_UNIT_OR_FLOAT = st.one_of(st.integers(1, 5).map(float), st.floats(0.1, 10.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_local_search_matches_the_scalar_trial_loop(data):
+    n = data.draw(st.integers(2, 30))
+    shift = data.draw(st.sampled_from([0.0, -700.0, 700.0]))
+    # base utilities at most 2 keep every A below the float range at shift 700
+    alpha = [shift + a for a in data.draw(st.lists(st.floats(-5.0, 2.0), min_size=n, max_size=n))]
+    gammas = data.draw(st.lists(
+        st.one_of(st.just(1e-310), st.just(1.0), st.floats(1e-3, 1.0)),
+        min_size=pair_count(n), max_size=pair_count(n),
+    ))
+    weights = np.array(data.draw(st.lists(_UNIT_OR_FLOAT, min_size=n, max_size=n)))
+    if data.draw(st.booleans()):
+        capacity = data.draw(st.floats(0.05, 1.0)) * weights.sum()
+    else:  # a capacity that some assortment fills exactly
+        subset = data.draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+        capacity = float(weights[np.array(subset)].sum())
+    inst = toy_instance(alpha, weights, capacity, gamma=np.array(gammas))
+    seed, rcl = data.draw(st.integers(0, 2**32)), data.draw(st.integers(1, 5))
+    max_iter = data.draw(st.integers(0, 200))
+    runs = []
+    for search in (_local_search, reference_local_search):
+        rng = np.random.default_rng((seed, rcl))
+        x, accepted = search(inst, _construct(inst, _ratio_order(inst), rcl, rng), max_iter, rng)
+        runs.append((x.tolist(), accepted, rng.bit_generator.state))
+    assert runs[0] == runs[1]

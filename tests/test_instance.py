@@ -110,6 +110,31 @@ def test_assortment_and_price_validation():
         validate_prices(inst, [1.0, -2.0])
 
 
+@pytest.mark.parametrize(
+    "x, path",
+    [
+        ([1, 2, 0], "assortment[1]"),
+        ([0, 0, -1], "assortment[2]"),
+        ([0.5, 1, 0], "assortment[0]"),
+        ([1, 0], "assortment"),
+        ([[1, 0, 0]], "assortment"),
+    ],
+)
+def test_assortment_errors_carry_field_paths(x, path):
+    inst = toy_instance([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 2.0)
+    with pytest.raises(ValidationError) as err:
+        validate_assortment(inst, x)
+    assert err.value.path == path
+
+
+def test_validated_assortment_is_an_int8_copy():
+    inst = toy_instance([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 2.0)
+    x = np.array([1, 0, 1], dtype=np.int8)
+    checked = validate_assortment(inst, x)
+    assert checked.dtype == np.int8 and checked is not x
+    assert validate_assortment(inst, [1.0, 0.0, True]).tolist() == [1, 0, 1]
+
+
 def test_feasibility_is_the_capacity_check():
     inst = toy_instance([0.0, 0.0], [1.0, 2.0], 2.0)
     assert total_weight(inst, [1, 0]) == 1.0

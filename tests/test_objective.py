@@ -11,13 +11,15 @@ from pclopt import (
     Instance,
     a_value,
     coefficients,
-    incremental_a_delta,
+    grasp,
     knapsack_majorant_bound,
     lp_relaxation,
     pair_count,
 )
 
-from conftest import pair_sum_a, random_instance, toy_instance
+from pclopt.heuristics import _add_gain
+
+from conftest import pair_sum_a, random_feasible_assortment, random_instance, toy_instance
 
 
 def test_a_value_hand_cases():
@@ -48,7 +50,7 @@ def test_coefficients_are_built_once_and_cached(coefficient_builds):
     first = coefficients(inst)
     assert coefficients(inst) is first
     a_value(inst, np.ones(inst.n, dtype=np.int8))
-    incremental_a_delta(inst, np.zeros(inst.n, dtype=np.int8), 0, "add")
+    grasp(inst)
     assert coefficient_builds == [inst]
 
 
@@ -112,51 +114,60 @@ def test_linearization_identity_vanishes_at_gamma_one():
     assert a_value(inst, [1, 1]) == pytest.approx(2.0, abs=1e-12)
 
 
-def test_incremental_delta_on_empty_assortment():
+def test_add_gain_on_empty_assortment():
     inst = random_instance(4)
-    coeffs = coefficients(inst)
-    empty = np.zeros(inst.n, dtype=np.int8)
-    for k in range(inst.n):
-        delta = incremental_a_delta(inst, empty, k, "add")
-        assert delta == pytest.approx((inst.n - 1) * coeffs.theta[k], rel=1e-12)
+    gain = _add_gain(inst, np.array([], dtype=np.intp))
+    assert np.array_equal(gain, coefficients(inst).lin_costs)
 
 
-def test_incremental_delta_add_remove_cancels_exactly():
-    rng = np.random.default_rng(0)
-    inst = random_instance(11)
-    x = (rng.random(inst.n) < 0.5).astype(np.int8)
-    k = int(np.flatnonzero(x == 0)[0])
-    add = incremental_a_delta(inst, x, k, "add")
-    x_after = x.copy()
-    x_after[k] = 1
-    remove = incremental_a_delta(inst, x_after, k, "remove")
-    assert abs(add + remove) <= 1e-12
+def _flipped(x, *products):
+    y = x.copy()
+    y[list(products)] ^= 1
+    return y
 
 
-def test_incremental_delta_matches_full_recomputation():
+def test_swap_delta_matches_full_recomputation():
+    # gain[k] is the A of adding k outside S and of removing it inside, and
+    # gain[inc] - (gain[out] + mu[out, inc]) = A(x - e_out + e_inc) - A(x)
     rng = np.random.default_rng(1)
     for seed in range(20):
         inst = random_instance(seed + 200)
+        mu_mat = coefficients(inst).mu_matrix(inst.n)
         x = (rng.random(inst.n) < 0.5).astype(np.int8)
-        k = int(rng.integers(inst.n))
-        direction = "remove" if x[k] else "add"
-        delta = incremental_a_delta(inst, x, k, direction)
-        x_new = x.copy()
-        x_new[k] = 1 - x_new[k]
-        expected = a_value(inst, x_new) - a_value(inst, x)
-        assert delta == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        ones, zeros = np.flatnonzero(x), np.flatnonzero(x == 0)
+        if ones.size == 0 or zeros.size == 0:
+            continue
+        gain = _add_gain(inst, ones)
+        a = a_value(inst, x)
+        for k in range(inst.n):
+            flip = abs(a_value(inst, _flipped(x, k)) - a)
+            assert gain[k] == pytest.approx(flip, rel=1e-9, abs=1e-9)
+        for out in ones:
+            for inc in zeros:
+                delta = gain[inc] - (gain[out] + mu_mat[out, inc])
+                expected = a_value(inst, _flipped(x, out, inc)) - a
+                assert delta == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
-def test_incremental_delta_direction_preconditions():
-    inst = random_instance(2)
-    x = np.zeros(inst.n, dtype=np.int8)
-    x[0] = 1
-    with pytest.raises(ValueError):
-        incremental_a_delta(inst, x, 0, "add")
-    with pytest.raises(ValueError):
-        incremental_a_delta(inst, x, 1, "remove")
-    with pytest.raises(ValueError):
-        incremental_a_delta(inst, x, 1, "toggle")
+def test_carried_gain_matches_a_fresh_build():
+    # the local search's update over a run of swaps: gain += mu[inc] - mu[out]
+    rng = np.random.default_rng(2)
+    for seed in range(10):
+        inst = random_instance(seed + 400, n=40)
+        coeffs = coefficients(inst)
+        mu_mat = coeffs.mu_matrix(inst.n)
+        x = random_feasible_assortment(inst, rng)
+        if not 0 < x.sum() < inst.n:
+            continue
+        gain = _add_gain(inst, np.flatnonzero(x))
+        for _ in range(200):
+            out = rng.choice(np.flatnonzero(x))
+            inc = rng.choice(np.flatnonzero(x == 0))
+            x[out], x[inc] = 0, 1
+            gain += mu_mat[inc] - mu_mat[out]
+        fresh = _add_gain(inst, np.flatnonzero(x))
+        # 0 <= gain <= lin_costs, the scale of each entry
+        assert np.all(np.abs(gain - fresh) <= 1e-12 * coeffs.lin_costs)
 
 
 def test_a_value_monotone_under_inclusion():
