@@ -37,9 +37,9 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .heuristics import grasp, greedy  # noqa: F401 -- unused; the benchmark's tracer patches them
-from .instance import (Instance, is_feasible, pair_positions, tie_break_prefer,
-                       validate_assortment)
-from .objective import a_value, coefficients
+from .instance import (_CAPACITY_REL_TOL, Instance, fits_capacity, is_feasible, pair_positions,
+                       tie_break_prefer, validate_assortment)
+from .objective import a_value, coefficients, ratio_order
 from .pricing import SolveResult, SolveStats, optimal_uniform_price, price_for_a
 
 _BRUTE_FORCE_MAX_N = 22
@@ -48,9 +48,6 @@ _CHUNK_BITS = 16
 _MAJORANT_SAFETY = 1e-9
 # a relaxed value this close to 0 or 1 counts as integral
 _INTEGRALITY_TOL = 1e-6
-# weight sums this close to the capacity (relative) may round either side of
-# it depending on the summation order; is_feasible's dot decides them
-_CAPACITY_REL_TOL = 1e-12
 # close a subtree whose integral fill attains its majorant to this relative
 # slack; a tied assortment inside it is not searched for
 _ATTAIN_REL_TOL = 1e-9
@@ -92,7 +89,6 @@ class LpSolution:
 class BranchBoundConfig:
     node_budget: int | None = None
     time_budget_s: float | None = None
-    record_bound_history: bool = False
 
     def __post_init__(self):
         if self.node_budget is not None and self.node_budget < 0:
@@ -101,11 +97,6 @@ class BranchBoundConfig:
             math.isfinite(self.time_budget_s) and self.time_budget_s >= 0
         ):
             raise ValueError("time_budget_s must be finite and nonnegative")
-
-
-def _ratio_order(values, weights) -> np.ndarray:
-    """Item indices by value/weight descending, ties to the smaller index."""
-    return np.lexsort((np.arange(values.size), -values / weights))
 
 
 def _fractional_knapsack(values, weights, capacity):
@@ -118,7 +109,7 @@ def _fractional_knapsack(values, weights, capacity):
     fill = np.zeros(m)
     if m == 0 or capacity <= 0:
         return 0.0, fill
-    order = _ratio_order(values, weights)
+    order = ratio_order(values, weights)
     total = 0.0
     remaining = capacity
     # an overflowing bound becomes inf silently (also in the callers' float
@@ -204,7 +195,7 @@ def lp_relaxation(instance: Instance) -> LpSolution:
     I, J = instance.pair_i, instance.pair_j
     coeffs = coefficients(instance)
     lin_costs, mu = coeffs.lin_costs, coeffs.mu
-    order = _ratio_order(lin_costs, instance.weights)
+    order = ratio_order(lin_costs, instance.weights)
     rank = np.empty(n, dtype=int)
     rank[order] = np.arange(n)
     _, fill = _fractional_knapsack(lin_costs, instance.weights, instance.capacity)
@@ -212,8 +203,11 @@ def lp_relaxation(instance: Instance) -> LpSolution:
     included = np.zeros(mu.size, dtype=bool)
     # HiGHS gives up or returns a wrong vertex on costs far from 1, so the
     # largest cost is scaled into [1, 2) by a power of two: every mantissa
-    # and the optimal vertex are kept, and ldexp takes subnormal costs too
+    # and the optimal vertex are kept, and ldexp takes subnormal costs too.
+    # The capacity row likewise, on its largest weight: HiGHS refuses matrix
+    # entries from 1e15 and drops those below 1e-9
     exponent = 1 - np.frexp(lin_costs.max())[1]
+    row_exponent = 1 - np.frexp(instance.weights.max())[1]
 
     solves = 0
     for _ in range(mu.size + 2):
@@ -231,11 +225,11 @@ def lp_relaxation(instance: Instance) -> LpSolution:
              np.stack([I[sel], J[sel], n + np.arange(k)], axis=1).ravel()]
         ) if k else np.arange(n)
         val = np.concatenate(
-            [instance.weights,
+            [np.ldexp(instance.weights, row_exponent),
              np.tile([1.0, 1.0, -1.0], k)]
         )
         a_ub = sp.csr_matrix((val, (row, col)), shape=(1 + k, n + k))
-        b_ub = np.concatenate([[instance.capacity], np.ones(k)])
+        b_ub = np.concatenate([[np.ldexp(instance.capacity, row_exponent)], np.ones(k)])
         res = linprog(
             cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs",
             options=_LP_OPTIONS,
@@ -323,11 +317,7 @@ def brute_force_oracle(instance: Instance) -> SolveResult:
     for start in range(0, total, chunk):
         masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
         bits = (masks[:, None] & bit_values[None, :]) != 0
-        load = bits @ instance.weights
-        feasible = load <= instance.capacity
-        near = np.abs(load - instance.capacity) <= _CAPACITY_REL_TOL * instance.capacity
-        for k in np.flatnonzero(near):
-            feasible[k] = is_feasible(instance, bits[k])
+        feasible = fits_capacity(instance, bits @ instance.weights, bits.__getitem__)
         if not feasible.any():
             continue
         bits = bits[feasible]
@@ -368,25 +358,27 @@ def branch_and_bound(
     """Exact maximizer of A(x) over feasible assortments.
 
     Depth-first search branching on the fractional product of the node's
-    knapsack fill (include-branch explored first).  Every node is bounded by
-    the fractional-knapsack majorant with the mu interactions of the
-    fixed-on products folded in.  That fold, mu_matrix @ fixed_on, is
-    carried down the tree: the include-child adds the branching product's
-    mu row to its parent's fold and the exclude-child shares it, so a node
-    costs O(n) plus the knapsack sort.  A node closes when its bound cannot
-    beat the incumbent, or when its fill is integral, feasible and attains
-    the majorant.
+    knapsack fill (include-branch explored first).  A node is the boolean
+    masks ``on`` (fixed in) and ``free``, its inherited bound and ``mu_fold``
+    = mu_matrix @ on, and is bounded by the fractional-knapsack majorant of
+    its free products with the mu terms of ``on`` folded in.  The
+    include-child adds the branching product to ``on`` and its mu row to the
+    fold; the exclude-child shares its parent's ``on`` and fold, and both
+    share one ``free``.  Nothing is written in place, so a node costs O(n)
+    plus the knapsack sort.  A node closes when its bound cannot beat the
+    incumbent, or when its fill is integral, feasible and attains the majorant.
 
     The search starts from ``incumbent`` (a feasible 0/1 assortment, such as
     GRASP's answer) or else from the empty one.  Exhausting the node or time
-    budget of the search returns status "feasible" with the best incumbent
-    and the tightest global bound still open.
+    budget returns status "feasible", the best incumbent and, as
+    ``upper_bound``, the largest bound still open, which a larger budget
+    never loosens.
     """
     if config is None:
         config = BranchBoundConfig()
     t0 = time.perf_counter()
     n = instance.n
-    weights = instance.weights
+    weights, capacity = instance.weights, instance.capacity
     coeffs = coefficients(instance)
     mu_mat = coeffs.mu_matrix(n)
     lin_costs = coeffs.lin_costs
@@ -396,17 +388,11 @@ def branch_and_bound(
         raise ValueError("incumbent exceeds the capacity")
     inc_a = a_value(instance, inc_x)
 
-    stats = SolveStats(bound_history=[] if config.record_bound_history else None)
-
-    root_majorant, _ = _fractional_knapsack(lin_costs, weights, instance.capacity)
-    root_bound = root_majorant * (1 + _MAJORANT_SAFETY)
-    lb0 = np.zeros(n, dtype=np.int8)
-    ub0 = np.ones(n, dtype=np.int8)
-    # a node is (lb, ub, bound, mu_fold) with mu_fold = mu_mat @ fixed_on;
-    # folds are shared between nodes and never written in place
-    stack: list[tuple[np.ndarray, np.ndarray, float, np.ndarray]] = [
-        (lb0, ub0, root_bound, np.zeros(n))
-    ]
+    stats = SolveStats()
+    root_majorant, _ = _fractional_knapsack(lin_costs, weights, capacity)
+    # a node is (on, free, bound, mu_fold)
+    stack = [(np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
+              root_majorant * (1 + _MAJORANT_SAFETY), np.zeros(n))]
     stopped = False
 
     def maybe_update(x_cand: np.ndarray) -> float:
@@ -426,36 +412,27 @@ def branch_and_bound(
         ):
             stopped = True
             break
-        lb, ub, bound, mu_fold = stack.pop()
+        on, free, bound, mu_fold = stack.pop()
         stats.nodes += 1
         attain_tol = _ATTAIN_REL_TOL * abs(inc_a)
 
-        fixed_on = lb == 1
-        weight_fixed = float(weights @ fixed_on)
-        if weight_fixed > instance.capacity:
+        weight_fixed = float(weights @ on)
+        if weight_fixed > capacity:
             continue
-        residual = instance.capacity - weight_fixed
-        free = (lb == 0) & (ub == 1)
+        residual = capacity - weight_fixed
         # a product that fits to rounding stays free for the integral check
-        overweight = free & (weights - residual > _CAPACITY_REL_TOL * instance.capacity)
-        if overweight.any():
-            ub = ub.copy()
-            ub[overweight] = 0
-            free = free & ~overweight
-
+        free = free & (weights - residual <= _CAPACITY_REL_TOL * capacity)
         if not free.any():
-            maybe_update(lb.copy())
-            if stats.bound_history is not None:
-                stats.bound_history.append(_global_bound(inc_a, stack))
+            maybe_update(on.astype(np.int8))
             continue
 
         # linearized objective with the fixed-on set folded in:
         # value(x) = fixed_part + sum over free offered of c_tilde + free-free mu
-        fixed_part = float(lin_costs @ fixed_on) + 0.5 * float(fixed_on @ mu_fold)
-        c_tilde = lin_costs + mu_fold
+        fixed_part = float(lin_costs @ on) + 0.5 * float(on @ mu_fold)
         free_idx = np.flatnonzero(free)
+        c_tilde = lin_costs[free_idx] + mu_fold[free_idx]
         majorant_free, fill = _fractional_knapsack(
-            np.clip(c_tilde[free_idx], 0.0, None), weights[free_idx], residual
+            np.clip(c_tilde, 0.0, None), weights[free_idx], residual
         )
         majorant = fixed_part + majorant_free
         bound = min(bound, majorant * (1 + _MAJORANT_SAFETY))
@@ -463,36 +440,29 @@ def branch_and_bound(
         # the bound is a majorant times (1 + safety); prune it when that
         # majorant is below the incumbent by more than the tie slack
         if bound <= inc_a * (1 - _TIE_REL_TOL) * (1 + _MAJORANT_SAFETY):
-            if stats.bound_history is not None:
-                stats.bound_history.append(_global_bound(inc_a, stack))
             continue
 
-        x_rel = lb.astype(float)
-        x_rel[free_idx] = fill
-        fractionality = np.where(free, np.minimum(x_rel, 1.0 - x_rel), -1.0)
-        branch_var = int(np.argmax(fractionality))
+        # the fill has at most one fractional product; an integral fill
+        # branches on the first free product
+        fractionality = np.minimum(fill, 1.0 - fill)
+        pick = int(np.argmax(fractionality))
+        if fractionality[pick] <= _INTEGRALITY_TOL:
+            filled = free_idx[fill > 0.5]
+            x_int = on.astype(np.int8)
+            x_int[filled] = 1
+            load = weight_fixed + float(weights[filled].sum())
+            # a fill attaining the raw majorant is optimal in the subtree
+            if (fits_capacity(instance, load, lambda _: x_int)
+                    and maybe_update(x_int) >= majorant - attain_tol):
+                continue
 
-        if fractionality[branch_var] <= _INTEGRALITY_TOL:
-            x_int = np.where(x_rel > 0.5, 1, 0).astype(np.int8)
-            if float(weights @ x_int.astype(float)) <= instance.capacity:
-                # a fill attaining the raw majorant is optimal in the subtree
-                if maybe_update(x_int) >= majorant - attain_tol:
-                    if stats.bound_history is not None:
-                        stats.bound_history.append(_global_bound(inc_a, stack))
-                    continue
-            if fractionality[branch_var] <= 0.0:
-                branch_var = int(free_idx[0])
+        branch_var = free_idx[pick]
+        child_on, child_free = on.copy(), free.copy()
+        child_on[branch_var], child_free[branch_var] = True, False
+        stack.append((on, child_free, bound, mu_fold))
+        stack.append((child_on, child_free, bound, mu_fold + mu_mat[branch_var]))
 
-        child_up = (lb.copy(), ub.copy(), bound, mu_fold + mu_mat[branch_var])
-        child_up[0][branch_var] = 1
-        child_down = (lb.copy(), ub.copy(), bound, mu_fold)
-        child_down[1][branch_var] = 0
-        stack.append(child_down)
-        stack.append(child_up)
-        if stats.bound_history is not None:
-            stats.bound_history.append(_global_bound(inc_a, stack))
-
-    upper = _global_bound(inc_a, stack) if stopped else inc_a
+    upper = max([inc_a] + [node[2] for node in stack]) if stopped else inc_a
     status = "feasible" if stopped else "optimal"
     price, revenue = optimal_uniform_price(instance, inc_x)
     stats.wall_time_s = time.perf_counter() - t0
@@ -505,8 +475,3 @@ def branch_and_bound(
         status=status,
         stats=stats,
     )
-
-
-def _global_bound(incumbent_a: float, stack) -> float:
-    open_bounds = max((node[2] for node in stack), default=incumbent_a)
-    return max(incumbent_a, open_bounds)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, tie_break_prefer
-from .objective import a_value, coefficients
+from .instance import _CAPACITY_REL_TOL, Instance, fits_capacity, tie_break_prefer
+from .objective import a_value, coefficients, ratio_order
 from .pricing import SolveResult, SolveStats, optimal_uniform_price
 
 # accept a swap only if it improves A by more than this share of A (float noise), to avoid cycling
@@ -41,12 +41,6 @@ class GraspConfig:
             raise ValueError("max_iter must be nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-
-
-def _ratio_order(instance: Instance) -> np.ndarray:
-    """Product indices by theta_i / w_i descending, ties to the smaller index."""
-    ratio = coefficients(instance).theta / instance.weights
-    return np.lexsort((np.arange(instance.n), -ratio))
 
 
 def _heuristic_result(instance, x, a, rcl, improvements) -> SolveResult:
@@ -69,27 +63,37 @@ def greedy(instance: Instance) -> SolveResult:
     later in the ratio order may still fit.  This is GRASP's rcl = 1
     construction, as a product that does not fit never fits later.
     """
-    x = _construct(instance, _ratio_order(instance), 1, None)
+    x = _construct(instance, ratio_order(coefficients(instance).theta, instance.weights), 1, None)
     return _heuristic_result(instance, x, a_value(instance, x), None, 0)
 
 
 def _construct(instance, order, rcl, rng):
     """Randomized greedy: repeatedly pick uniformly among the rcl best-ratio
     unselected products that still fit, until nothing fits.  The RNG is
-    drawn only when the pool holds more than one product."""
+    drawn only when the pool holds more than one product.  The pool admits
+    weights up to rounding past the room left; a pick the capacity rule
+    refuses (a sum within rounding of C) is dropped for good, and redrawn."""
     weights = instance.weights[order]
     taken = np.zeros(instance.n, dtype=bool)
-    remaining = instance.capacity
+    untried = np.ones(instance.n, dtype=bool)
+    load = 0.0
+
+    def offered(*picks):
+        x = np.zeros(instance.n, dtype=np.int8)
+        x[order[taken]] = 1
+        x[order[list(picks)]] = 1
+        return x
+
     while True:
-        pool = np.flatnonzero(~taken & (weights <= remaining))[:rcl]
+        room = instance.capacity * (1 + 2 * _CAPACITY_REL_TOL) - load
+        pool = np.flatnonzero(untried & (weights <= room))[:rcl]
         if pool.size == 0:
-            break
+            return offered()
         k = pool[int(rng.integers(pool.size))] if pool.size > 1 else pool[0]
-        taken[k] = True
-        remaining -= weights[k]
-    x = np.zeros(instance.n, dtype=np.int8)
-    x[order[taken]] = 1
-    return x
+        untried[k] = False
+        if fits_capacity(instance, load + weights[k], lambda _: offered(k)):
+            taken[k] = True
+            load += weights[k]
 
 
 def _add_gain(instance, offered):
@@ -116,16 +120,22 @@ def _local_search(instance, x, max_iter, rng):
     ones, zeros = np.flatnonzero(x), np.flatnonzero(x == 0)
     if ones.size == 0 or zeros.size == 0:
         return x, 0
-    weights, capacity = instance.weights, instance.capacity
+    weights = instance.weights.tolist()  # float sums, in fewer cycles
+
+    def swapped(_):
+        trial = x.copy()
+        trial[out], trial[inc] = 0, 1
+        return trial
+
     mu_mat = coefficients(instance).mu_matrix(instance.n)
     gain = _add_gain(instance, ones)
-    current_weight = float(weights @ x.astype(float))
+    current_weight = float(instance.weights @ x.astype(float))
     current_a = a_value(instance, x)
     accepted = 0
     draws = rng.integers(np.tile([ones.size, zeros.size], max_iter))
     for i, j in draws.reshape(max_iter, 2).tolist():
         out, inc = ones[i], zeros[j]
-        if current_weight - weights[out] + weights[inc] > capacity:
+        if not fits_capacity(instance, current_weight - weights[out] + weights[inc], swapped):
             continue
         delta = gain[inc] - (gain[out] + mu_mat[out, inc])
         if delta > _IMPROVE_TOL * current_a:
@@ -147,7 +157,7 @@ def grasp(instance: Instance, config: GraspConfig | None = None) -> SolveResult:
     """
     if config is None:
         config = GraspConfig()
-    order = _ratio_order(instance)
+    order = ratio_order(coefficients(instance).theta, instance.weights)
 
     best_x = None
     best_a = -np.inf

@@ -20,6 +20,10 @@ from typing import Iterable
 
 import numpy as np
 
+# weight sums this close to the capacity (relative) may round either side of
+# it depending on the summation order; fits_capacity lets is_feasible decide
+_CAPACITY_REL_TOL = 1e-12
+
 
 class ValidationError(ValueError):
     """Input data violates the documented schema.
@@ -201,6 +205,24 @@ def total_weight(instance: Instance, x) -> float:
 def is_feasible(instance: Instance, x) -> bool:
     """Capacity check: sum of offered weights does not exceed C."""
     return total_weight(instance, x) <= instance.capacity
+
+
+def fits_capacity(instance: Instance, loads, assortment):
+    """The capacity rule of every solver that sums weights its own way:
+    ``loads``, one such sum or an array of them, decide, except within
+    _CAPACITY_REL_TOL * C of C, where is_feasible's dot over
+    ``assortment(k)``, the 0/1 vector behind the k-th (0 for one sum),
+    decides.  So what a solver returns always passes is_feasible."""
+    capacity = instance.capacity
+    band = _CAPACITY_REL_TOL * capacity
+    if not isinstance(loads, np.ndarray):
+        if abs(loads - capacity) > band:
+            return bool(loads <= capacity)
+        return is_feasible(instance, assortment(0))
+    fits = loads <= capacity
+    for k in np.flatnonzero(np.abs(loads - capacity) <= band):
+        fits[k] = is_feasible(instance, assortment(k))
+    return fits
 
 
 def tie_break_prefer(x_new: np.ndarray, x_old: np.ndarray) -> bool:

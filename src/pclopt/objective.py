@@ -85,6 +85,12 @@ def coefficients(instance: Instance) -> LinearizedCoefficients:
     return instance._coefficients
 
 
+def ratio_order(values, weights) -> np.ndarray:
+    """Item indices by value/weight descending, ties to the smaller index:
+    the order of the knapsack fills (lin_costs) and the heuristics (theta)."""
+    return np.lexsort((np.arange(values.size), -values / weights))
+
+
 def a_value(instance: Instance, x) -> float:
     """A(x) from the offered set S alone, in O(|S|^2 + n): the linear part
     (n-1) sum theta_i over S plus mu_ij over the pairs inside S."""

@@ -84,17 +84,16 @@ def optimal_uniform_price(instance: Instance, x) -> tuple[float, float]:
 
 @dataclass
 class SolveStats:
-    """Search effort behind an answer.  Heuristic answers set
+    """Search effort behind an answer: branch-and-bound nodes (brute force
+    counts the 2^n assortments) and root LP solves.  Heuristic answers set
     ``improvement_count`` (GRASP also ``construction_rcl``) and serialize
-    those in place of ``nodes`` and ``lp_solves``.  A recorded
-    ``bound_history`` is serialized with them, an unrecorded one is left
-    out.  Heuristics and the LP bound leave ``wall_time_s`` at 0, so their
-    results repeat exactly; the CLI stamps it on every answer."""
+    those in place of ``nodes`` and ``lp_solves``.  Heuristics and the LP
+    bound leave ``wall_time_s`` at 0, so their results repeat exactly; the
+    CLI stamps it on every answer."""
 
     nodes: int = 0
     lp_solves: int = 0
     wall_time_s: float = 0.0
-    bound_history: list | None = None
     construction_rcl: int | None = None
     improvement_count: int | None = None
 
@@ -105,14 +104,11 @@ class SolveStats:
                 "construction_rcl": self.construction_rcl,
                 "improvement_count": self.improvement_count,
             }
-        payload = {
+        return {
             "nodes": self.nodes,
             "lp_solves": self.lp_solves,
             "wall_time_s": self.wall_time_s,
         }
-        if self.bound_history is not None:
-            payload["bound_history"] = self.bound_history
-        return payload
 
 
 @dataclass

@@ -9,6 +9,7 @@ from pclopt import (
     a_value,
     coefficients,
     generate_instance,
+    is_feasible,
     pair_count,
     validate_assortment,
 )
@@ -107,6 +108,21 @@ def past_prefix_instance() -> Instance:
     return toy_instance([0.0, -0.1, -0.2, -0.3, -0.4], [1.0] * 5, 2.0, gamma=0.1)
 
 
+ROUNDING_ALPHA = [0.7941753543516898, 0.9094543345306465, 0.38507782627873977,
+                  0.8730852124899648, 0.9999404287230818, 0.6905938922266335,
+                  -0.9666909818273628]
+ROUNDING_CENTS = [154, 162, 71, 99, 24, 186, 79]
+
+
+def rounding_capacity_instance(scale=1.0) -> Instance:
+    """Decimal weights whose running sum over products 1-4, as greedy adds
+    them, is C = 3.56 while their dot is 3.5600000000000005 > C: that
+    over-capacity assortment has A = 46.733, above the optimum 45.327 of
+    products {0, 2, 3, 4}.  ``scale`` multiplies the weights and C."""
+    return toy_instance(ROUNDING_ALPHA, [c / 100 * scale for c in ROUNDING_CENTS],
+                        3.56 * scale, gamma=0.5)
+
+
 def assert_matches_all_pairs_lp(instance: Instance, value: float):
     """Assert that value is the LP relaxation's optimum to 1e-12, as one
     linprog call holding every pair row (n <= 25) brackets it: an oracle
@@ -186,7 +202,15 @@ def reference_local_search(instance, x, max_iter, rng):
             break
         out = int(ones[rng.integers(ones.size)])
         inc = int(zeros[rng.integers(zeros.size)])
-        if current_weight - weights[out] + weights[inc] > instance.capacity:
+        # the load decides, but within 1e-12 C of C the dot of the swap does
+        load = current_weight - weights[out] + weights[inc]
+        swapped = x.copy()
+        swapped[out], swapped[inc] = 0, 1
+        if abs(load - instance.capacity) <= 1e-12 * instance.capacity:
+            fits = is_feasible(instance, swapped)
+        else:
+            fits = load <= instance.capacity
+        if not fits:
             continue
         delta = float(mu_mat[inc] @ x.astype(float) + coeffs.lin_costs[inc])
         x[inc] = 1

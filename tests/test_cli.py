@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pclopt.bench
 import pclopt.cli
@@ -14,11 +16,13 @@ from pclopt import (
     brute_force_oracle,
     grasp,
     greedy,
+    is_feasible,
     lp_bound_answer,
 )
 from pclopt.cli import dispatch
 
-from conftest import EXTREME_CHOICE_CASES, past_prefix_instance, small_utility_instance
+from conftest import (EXTREME_CHOICE_CASES, past_prefix_instance, rounding_capacity_instance,
+                      small_utility_instance)
 
 
 def run_cli(argv, capsys):
@@ -310,6 +314,63 @@ def test_overflow_is_one_solver_failed_envelope(tmp_path, capsys, method, alpha)
     envelope = json.loads(err)
     assert envelope["code"] == "solver-failed"
     assert "overflow" in envelope["message"]
+
+
+def write_rounding_instance(tmp_path, scale=1.0):
+    path = tmp_path / "rounding.json"
+    path.write_text(json.dumps(rounding_capacity_instance(scale).to_dict()))
+    return path
+
+
+@pytest.mark.parametrize("method", ["exact", "brute-force", "greedy", "grasp"])
+def test_every_method_answers_within_the_capacity(tmp_path, capsys, method):
+    # GRASP used to offer products 1-4, whose running load rounds to C but
+    # whose dot exceeds it, and exact refused that answer as its incumbent
+    path = write_rounding_instance(tmp_path)
+    code, out, err = run_cli(["solve", "--instance", str(path), "--method", method], capsys)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["assortment"] == [1, 0, 1, 1, 1, 0, 0]
+    assert payload["a_value"] == 45.327144368777496
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-9, 1e15, 1e300])
+def test_lp_bound_does_not_depend_on_the_weight_scale(tmp_path, capsys, scale):
+    # unscaled, HiGHS refused weights from 1e15 and dropped the capacity row at 1e-9
+    path = write_rounding_instance(tmp_path, scale)
+    code, out, err = run_cli(["solve", "--instance", str(path), "--method", "lp-bound"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["upper_bound"] == pytest.approx(46.733131848155935, rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(2, 8), exponent=st.integers(-300, 300), below=st.booleans(),
+       seed=st.integers(0, 2**32))
+def test_every_weight_scale_gets_a_feasible_proved_answer(tmp_path, capsys, n, exponent,
+                                                         below, seed):
+    # weights from 1e-302 to 4e302; C either a subset's weight in decimal,
+    # which float sums round either side of, or below the smallest weight
+    rng = np.random.default_rng(seed)
+    cents = rng.integers(1, 400, n)
+    scale = 10.0 ** exponent
+    subset = (rng.random(n) < 0.5) | (cents == cents.max())
+    capacity = (cents.min() / 2 if below else cents[subset].sum()) / 100 * scale
+    inst = Instance(n=n, alpha=rng.uniform(-2.0, 2.0, n), weights=cents / 100 * scale,
+                    capacity=capacity, beta=0.1,
+                    gamma_upper=rng.uniform(0.05, 1.0, n * (n - 1) // 2))
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(inst.to_dict()))
+    answers = {}
+    for method in ("exact", "brute-force", "greedy", "grasp", "lp-bound"):
+        code, out, err = run_cli(["solve", "--instance", str(path), "--method", method], capsys)
+        assert code == 0 and err == "", (method, err)
+        answers[method] = json.loads(out)
+    for method in ("exact", "brute-force", "greedy", "grasp"):
+        assert is_feasible(inst, answers[method]["assortment"])
+    optimum = answers["brute-force"]["a_value"]
+    assert answers["exact"]["a_value"] == pytest.approx(optimum, rel=1e-12, abs=0.0)
+    assert answers["lp-bound"]["upper_bound"] >= optimum * (1 - 1e-12)
 
 
 def test_solve_budget_exhaustion_is_not_an_error(tmp_path, capsys):

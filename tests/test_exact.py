@@ -9,7 +9,6 @@ from pclopt import (
     BranchBoundConfig,
     GeneratorConfig,
     GraspConfig,
-    SolveStats,
     a_value,
     branch_and_bound,
     brute_force_oracle,
@@ -314,16 +313,19 @@ def test_branch_and_bound_rejects_a_bad_incumbent(incumbent):
 
 
 def test_branch_and_bound_global_bound_is_monotone():
-    inst = random_instance(42, n=12, kappa=0.3)
-    config = BranchBoundConfig(record_bound_history=True)
-    result = branch_and_bound(inst, config)
-    history = result.stats.bound_history
-    assert history, "expected a recorded bound trace"
-    assert all(b1 >= b2 - 1e-9 for b1, b2 in zip(history, history[1:]))
-    assert all(b >= result.a_value - 1e-9 for b in history)
-    payload = result.to_dict()["stats"]
-    assert payload["bound_history"] == history
-    assert SolveStats(**payload).to_dict() == payload
+    # the bound a node budget stops at never loosens as the budget grows,
+    # never falls below the incumbent, and closes on it without a budget
+    for seed, n in [(42, 12), (43, 13), (44, 14)]:
+        inst = random_instance(seed, n=n, kappa=0.3)
+        full = branch_and_bound(inst)
+        assert full.status == "optimal" and full.upper_bound == full.a_value
+        bounds = []
+        for budget in range(full.stats.nodes + 1):
+            result = branch_and_bound(inst, BranchBoundConfig(node_budget=budget))
+            assert result.upper_bound >= result.a_value - 1e-9
+            bounds.append(result.upper_bound)
+        assert all(b1 >= b2 - 1e-9 for b1, b2 in zip(bounds, bounds[1:]))
+        assert bounds[-1] == full.upper_bound
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pclopt import (
@@ -14,9 +14,11 @@ from pclopt import (
     is_feasible,
     pair_count,
 )
-from pclopt.heuristics import _construct, _local_search, _ratio_order
+from pclopt.heuristics import _construct, _local_search
+from pclopt.objective import coefficients, ratio_order
 
-from conftest import random_instance, reference_local_search, toy_instance
+from conftest import (ROUNDING_ALPHA, ROUNDING_CENTS, random_instance, reference_local_search,
+                      toy_instance)
 
 
 def test_greedy_picks_top_ratios_that_fit():
@@ -189,7 +191,7 @@ def test_construction_picks_and_draws_are_pinned(name):
         best.stats.construction_rcl,
         best.stats.improvement_count,
     ) == pinned["grasp"]
-    order = _ratio_order(inst)
+    order = ratio_order(coefficients(inst).theta, inst.weights)
     rounds, next_draws = [], []
     for rcl in range(1, 6):
         rng = np.random.default_rng((3, rcl))
@@ -245,6 +247,29 @@ def test_local_search_matches_the_scalar_trial_loop(data):
     runs = []
     for search in (_local_search, reference_local_search):
         rng = np.random.default_rng((seed, rcl))
-        x, accepted = search(inst, _construct(inst, _ratio_order(inst), rcl, rng), max_iter, rng)
+        x = _construct(inst, ratio_order(coefficients(inst).theta, inst.weights), rcl, rng)
+        x, accepted = search(inst, x, max_iter, rng)
         runs.append((x.tolist(), accepted, rng.bit_generator.state))
     assert runs[0] == runs[1]
+
+
+@st.composite
+def _decimal_weight_cases(draw):
+    """(alpha, weights in cents, a nonempty subset, gamma): C is the
+    subset's weight in decimal, which float sums round either side of."""
+    n = draw(st.integers(2, 12))
+    cents = draw(st.lists(st.integers(1, 400), min_size=n, max_size=n))
+    subset = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    alpha = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    return alpha, cents, subset, draw(st.floats(0.05, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_decimal_weight_cases(), seed=st.integers(0, 2**16))
+@example(case=(ROUNDING_ALPHA, ROUNDING_CENTS, [0, 1, 1, 1, 1, 0, 0], 0.5), seed=0)
+def test_heuristic_answers_pass_is_feasible(case, seed):
+    alpha, cents, subset, gamma = case
+    capacity = sum(c for c, s in zip(cents, subset) if s) / 100
+    inst = toy_instance(alpha, [c / 100 for c in cents], capacity, gamma=gamma)
+    for result in (greedy(inst), grasp(inst, GraspConfig(seed=seed))):
+        assert is_feasible(inst, result.assortment)
