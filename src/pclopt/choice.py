@@ -15,6 +15,9 @@ objective's pair coefficients and these probabilities both take log V^gamma
 from ``log_nest_value``, which never forms alpha/gamma.  The probabilities
 are normalized against the largest log nest value, so tiny (even subnormal)
 gammas and large utilities neither overflow nor underflow.
+
+The simulator counts trials rather than drawing them one by one, so its
+cost is O(n^2) whatever the number of trials.
 """
 
 from __future__ import annotations
@@ -51,9 +54,9 @@ class ChoiceDistribution:
 def _pair_quantities(instance: Instance, prices: np.ndarray, x: np.ndarray):
     """Per-pair nest probabilities and within-nest shares.
 
-    Returns (nest_probs, within_i, within_j, no_purchase) where nest_probs[p]
-    is q^ij for pair p and within_i/within_j are the conditional shares of
-    the two members (both zero when the nest offers nothing).
+    Returns (nest_probs, within_i, no_purchase) where nest_probs[p] is q^ij
+    for pair p and within_i[p] is the conditional share of its first member;
+    the second takes the rest.
     """
     I, J = instance.pair_i, instance.pair_j
     a = instance.alpha - instance.beta * prices
@@ -66,13 +69,12 @@ def _pair_quantities(instance: Instance, prices: np.ndarray, x: np.ndarray):
     with np.errstate(over="ignore"):  # 1 / (1 + inf) = 0 is the right share
         within_i[both] = 1.0 / (1.0 + np.exp((a_j - a_i) / gam))
     log_nest[both] = log_nest_value(a_i, a_j, gam)
-    within_j = np.where(on_i | on_j, 1.0 - within_i, 0.0)
 
     shift = max(0.0, float(log_nest.max()))
     nest_vals = np.exp(log_nest - shift)
     outside = np.exp(-shift)  # the no-purchase option's value, on the same scale
     denom = outside + nest_vals.sum()
-    return nest_vals / denom, within_i, within_j, float(outside / denom)
+    return nest_vals / denom, within_i, float(outside / denom)
 
 
 def choice_probabilities(instance: Instance, prices, x) -> ChoiceDistribution:
@@ -82,10 +84,10 @@ def choice_probabilities(instance: Instance, prices, x) -> ChoiceDistribution:
     """
     prices = validate_prices(instance, prices)
     x = validate_assortment(instance, x)
-    nest_probs, within_i, within_j, no_purchase = _pair_quantities(instance, prices, x)
+    nest_probs, within_i, no_purchase = _pair_quantities(instance, prices, x)
     I, J = instance.pair_i, instance.pair_j
     probs = np.bincount(I, weights=nest_probs * within_i, minlength=instance.n)
-    probs += np.bincount(J, weights=nest_probs * within_j, minlength=instance.n)
+    probs += np.bincount(J, weights=nest_probs * (1.0 - within_i), minlength=instance.n)
     return ChoiceDistribution(product_probs=probs, no_purchase=no_purchase)
 
 
@@ -99,32 +101,29 @@ def expected_revenue(instance: Instance, prices, x) -> float:
 def simulate_choice(
     instance: Instance, prices, x, rng_seed: int, trials: int
 ) -> ChoiceDistribution:
-    """Empirical choice frequencies from two-stage sampling.
+    """Empirical choice frequencies of ``trials`` two-stage draws.
 
-    Each trial first draws the no-purchase outcome or a nest according to
-    (q_0, q^ij), then a product within the drawn nest according to q_i^ij.
+    Each customer first takes the no-purchase outcome or a nest according to
+    (q_0, q^ij), then a product within the nest according to q_i^ij.  The
+    draws are counted rather than made one by one: the outcome counts are
+    one multinomial draw, and each nest's split between its two products is
+    one binomial draw, which gives the counts the same joint distribution.
+    Time and memory are O(n^2) whatever ``trials`` is, up to 2^63 - 1.
     Deterministic for a fixed seed.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if not 1 <= trials < 2**63:  # the counts are int64
+        raise ValueError("trials must be between 1 and 2^63 - 1")
     prices = validate_prices(instance, prices)
     x = validate_assortment(instance, x)
-    nest_probs, within_i, _, no_purchase = _pair_quantities(instance, prices, x)
-
-    outcome_probs = np.concatenate(([no_purchase], nest_probs))
-
+    nest_probs, within_i, no_purchase = _pair_quantities(instance, prices, x)
+    outcome_probs = np.concatenate((nest_probs, [no_purchase]))
+    # numpy's multinomial hands its last outcome whatever rounding leaves
+    # over, so the likeliest goes last and an outcome of probability 0 never
+    # gets a count
+    shift = outcome_probs.size - 1 - int(np.argmax(outcome_probs))
     rng = np.random.default_rng(rng_seed)
-    outcomes = rng.choice(outcome_probs.size, size=trials, p=outcome_probs)
-    uniforms = rng.random(trials)
-
-    bought = outcomes > 0
-    pair_ids = outcomes[bought] - 1
-    take_i = uniforms[bought] < within_i[pair_ids]
-    products = np.where(
-        take_i, instance.pair_i[pair_ids], instance.pair_j[pair_ids]
-    )
-    counts = np.bincount(products, minlength=instance.n).astype(float)
-    return ChoiceDistribution(
-        product_probs=counts / trials,
-        no_purchase=float(np.count_nonzero(~bought)) / trials,
-    )
+    counts = np.roll(rng.multinomial(trials, np.roll(outcome_probs, shift)), -shift)
+    took_i = rng.binomial(counts[:-1], within_i)
+    sold = np.bincount(instance.pair_i, weights=took_i, minlength=instance.n)
+    sold += np.bincount(instance.pair_j, weights=counts[:-1] - took_i, minlength=instance.n)
+    return ChoiceDistribution(sold / trials, float(counts[-1] / trials))

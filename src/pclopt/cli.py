@@ -160,19 +160,21 @@ def _cmd_solve(args) -> int:
     bb_config = BranchBoundConfig(args.node_budget, args.budget_seconds)
     instance = _load_instance(args.instance)
     t0 = time.perf_counter()
-    if args.method == "greedy":
-        result = greedy(instance)
-    elif args.method == "brute-force":
-        try:
+    try:
+        if args.method == "greedy":
+            result = greedy(instance)
+        elif args.method == "brute-force":
             result = brute_force_oracle(instance)
-        except InstanceTooLarge as exc:
-            raise CliError("instance-too-large", str(exc)) from exc
-    elif args.method == "lp-bound":
-        result = lp_bound_answer(instance)
-    else:  # grasp, and exact, whose search starts from the GRASP answer
-        result = grasp(instance, grasp_config)
-        if args.method == "exact":
-            result = branch_and_bound(instance, bb_config, result.assortment)
+        elif args.method == "lp-bound":
+            result = lp_bound_answer(instance)
+        else:  # grasp, and exact, whose search starts from the GRASP answer
+            result = grasp(instance, grasp_config)
+            if args.method == "exact":
+                result = branch_and_bound(instance, bb_config, result.assortment)
+    except InstanceTooLarge as exc:
+        raise CliError("instance-too-large", str(exc)) from exc
+    except ValueError as exc:  # flags and instance were accepted: a solver's own check
+        raise CliError("solver-failed", str(exc), exit_code=1) from exc
     result.stats.wall_time_s = time.perf_counter() - t0
     _dump(result.to_dict(), args.out)
     return 0
@@ -198,8 +200,6 @@ def _cmd_simulate(args) -> int:
     instance = _load_instance(args.instance)
     prices = validate_prices(instance, _load_vector(args.prices, "prices"))
     assortment = validate_assortment(instance, _load_vector(args.assortment, "assortment"))
-    if args.trials < 1:
-        raise CliError("bad-arguments", "--trials must be at least 1")
     dist = simulate_choice(instance, prices, assortment, args.seed, args.trials)
     _dump(
         {

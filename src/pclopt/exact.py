@@ -178,13 +178,13 @@ def lp_relaxation(instance: Instance) -> LpSolution:
     ceil(1.25 s) products in fractional-knapsack ratio order, s being the
     number of products the knapsack fill offers: the LP optimum spends the
     capacity on about that prefix, so one HiGHS solve usually suffices.
-    The lazy net keeps the answer exact: a pair outside the rows enters
-    once the solution violates x_i + x_j <= 1, the prefix grows to 1.25
-    times the ratio rank of the deepest violated product, and the LP is
-    solved again; when no uncovered pair is violated, the restricted
-    optimum is the full LP optimum.  Only pairs of products with positive
-    x can violate their row, so the scan and y_frac cost O(p^2) for p such
-    products.
+    The lazy net keeps the answer exact: the rows are the pair rows among
+    the prefix; when the solution violates x_i + x_j <= 1 on a pair outside
+    it, the prefix grows to 1.25 times the ratio rank of the deepest
+    violated product and the LP is solved again; when no uncovered pair is
+    violated, the restricted optimum is the full LP optimum.  Only pairs of
+    products with positive x can violate their row, so the scan and y_frac
+    cost O(p^2) for p such products.
 
     The reported objective is the canonical full one at x, unless HiGHS's
     duals, as returned and refined on its basis, both bound the LP above
@@ -200,7 +200,6 @@ def lp_relaxation(instance: Instance) -> LpSolution:
     rank[order] = np.arange(n)
     _, fill = _fractional_knapsack(lin_costs, instance.weights, instance.capacity)
     prefix = math.ceil(_SEED_PREFIX_FACTOR * np.count_nonzero(fill))
-    included = np.zeros(mu.size, dtype=bool)
     # HiGHS gives up or returns a wrong vertex on costs far from 1, so the
     # largest cost is scaled into [1, 2) by a power of two: every mantissa
     # and the optimal vertex are kept, and ldexp takes subnormal costs too.
@@ -212,8 +211,7 @@ def lp_relaxation(instance: Instance) -> LpSolution:
     solves = 0
     for _ in range(mu.size + 2):
         seeded, _, _ = pair_positions(order[:prefix], n)
-        included[seeded[mu[seeded] < 0.0]] = True
-        sel = np.flatnonzero(included)
+        sel = np.sort(seeded[mu[seeded] < 0.0])
         k = sel.size
         cost = np.ldexp(np.concatenate([-lin_costs, -mu[sel]]), exponent)
         row = np.concatenate(
@@ -240,7 +238,8 @@ def lp_relaxation(instance: Instance) -> LpSolution:
         x = res.x[:n]
         pos, i, j = pair_positions(np.flatnonzero(x > 0.0), n)
         excess = x[i] + x[j] - 1.0
-        violated = (mu[pos] < 0.0) & ~included[pos] & (excess > 1e-12)
+        outside = np.maximum(rank[i], rank[j]) >= prefix
+        violated = (mu[pos] < 0.0) & outside & (excess > 1e-12)
         if not violated.any():
             y = np.zeros(mu.size)
             y[pos] = np.maximum(0.0, excess)
@@ -262,7 +261,6 @@ def lp_relaxation(instance: Instance) -> LpSolution:
             return LpSolution(
                 x_frac=x, y_frac=y, objective_value=objective, lp_solves=solves
             )
-        included[pos[violated]] = True
         deepest = rank[np.concatenate([i[violated], j[violated]])].max()
         prefix = max(prefix, math.ceil(_SEED_PREFIX_FACTOR * (deepest + 1)))
     raise RuntimeError("pair-row generation failed to converge")

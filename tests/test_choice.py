@@ -1,6 +1,7 @@
 """Choice model tests, including brute-force re-derivations of the pair sums."""
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -9,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pclopt import (
+    GeneratorConfig,
+    Instance,
     a_value,
     choice_probabilities,
     expected_revenue,
+    generate_instance,
     pair_count,
     simulate_choice,
 )
@@ -185,6 +189,60 @@ def test_simulation_is_deterministic_per_seed():
     assert np.array_equal(first.product_probs, second.product_probs)
     assert first.no_purchase == second.no_purchase
     assert not np.array_equal(first.product_probs, third.product_probs)
+
+
+def test_simulation_matches_closed_form_at_a_billion_trials():
+    inst = toy_instance([0.0, 0.0], [1.0, 1.0], 2.0, gamma=1.0)
+    trials = 10**9
+    sim = simulate_choice(inst, [0.0, 0.0], [1, 1], rng_seed=0, trials=trials)
+    bound = 4.0 * math.sqrt(0.25 / trials)  # 6.3e-5
+    assert sim.product_probs == pytest.approx([1 / 3, 1 / 3], abs=bound)
+    assert sim.no_purchase == pytest.approx(1 / 3, abs=bound)
+
+
+def test_simulation_cost_does_not_grow_with_trials():
+    inst = generate_instance(GeneratorConfig(n=1000, kappa=0.04, seed=0))
+    rng = np.random.default_rng(6)
+    prices = rng.uniform(0, 15, inst.n)
+    x = random_feasible_assortment(inst, rng)
+    t0 = time.perf_counter()
+    sim = simulate_choice(inst, prices, x, rng_seed=1, trials=10**12)
+    assert time.perf_counter() - t0 < 1.0
+    assert sim.no_purchase + sim.product_probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha_shift", [0.0, 800.0])
+def test_outcome_of_probability_zero_is_never_drawn(alpha_shift):
+    # only products 0-39 are offered, so the last stored nest (998, 999) has
+    # probability 0, and so has no purchase at alpha + 800; numpy's
+    # multinomial hands its last outcome whatever rounding leaves over
+    data = generate_instance(GeneratorConfig(n=1000, kappa=0.04, seed=0)).to_dict()
+    inst = Instance.from_dict({**data, "alpha": [a + alpha_shift for a in data["alpha"]]})
+    x = np.zeros(inst.n, dtype=int)
+    x[:40] = 1
+    prices = np.full(inst.n, 5.0)
+    dist = choice_probabilities(inst, prices, x)
+    for seed in range(3):
+        sim = simulate_choice(inst, prices, x, rng_seed=seed, trials=2**63 - 1)
+        assert np.all(sim.product_probs[40:] == 0.0)
+        assert (sim.no_purchase == 0.0) == (dist.no_purchase == 0.0)
+
+
+@pytest.mark.parametrize("alpha, gamma, x, expected_q, expected_q0", EXTREME_CHOICE_CASES)
+def test_extreme_cases_never_draw_a_zero_probability(alpha, gamma, x, expected_q,
+                                                     expected_q0):
+    inst = toy_instance(alpha, [1, 1, 1], 3.0, gamma=gamma)
+    dist = choice_probabilities(inst, [0.0, 0.0, 0.0], x)
+    sim = simulate_choice(inst, [0.0, 0.0, 0.0], x, rng_seed=2, trials=2**63 - 1)
+    assert np.all(sim.product_probs[dist.product_probs == 0.0] == 0.0)
+    assert (sim.no_purchase == 0.0) == (dist.no_purchase == 0.0)
+
+
+@pytest.mark.parametrize("trials", [0, 2**63])
+def test_simulation_refuses_trials_outside_int64(trials):
+    inst = toy_instance([0.0, 0.0], [1.0, 1.0], 2.0, gamma=1.0)
+    with pytest.raises(ValueError, match="trials"):
+        simulate_choice(inst, [0.0, 0.0], [1, 1], rng_seed=0, trials=trials)
 
 
 @pytest.mark.parametrize("alpha, gamma, x, expected_q, expected_q0", EXTREME_CHOICE_CASES)

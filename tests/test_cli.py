@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -504,6 +505,50 @@ def test_simulate_deterministic(tmp_path, capsys):
     payload = json.loads(out1)
     assert payload["trials"] == 20000
     assert sum(payload["product_freqs"]) + payload["no_purchase_freq"] == pytest.approx(1.0)
+
+
+def test_simulate_a_trillion_trials(tmp_path, capsys):
+    path = write_instance(tmp_path, capsys, n=20)
+    code, out, err = run_cli(
+        ["simulate", "--instance", str(path), "--prices", json.dumps([2.0] * 20),
+         "--assortment", json.dumps([1, 0] * 10), "--trials", "1000000000000"],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["trials"] == 10**12
+    assert sum(payload["product_freqs"]) + payload["no_purchase_freq"] == pytest.approx(
+        1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("trials", ["0", "100000000000000000000"])
+def test_simulate_refuses_trials_outside_int64(tmp_path, capsys, trials):
+    path = write_instance(tmp_path, capsys, n=3)
+    code, out, err = run_cli(
+        ["simulate", "--instance", str(path), "--prices", "[1, 1, 1]",
+         "--assortment", "[1, 1, 0]", "--trials", trials],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["code"] == "bad-arguments"
+
+
+def test_solver_value_error_is_solver_failed(tmp_path, capsys, monkeypatch):
+    # branch_and_bound refuses an incumbent over the capacity; here it comes
+    # from GRASP, not from the user, so the arguments are not to blame
+    path = write_instance(tmp_path, capsys)
+    real_grasp = pclopt.cli.grasp
+
+    def over_capacity(instance, config):
+        result = real_grasp(instance, config)
+        return dataclasses.replace(result, assortment=np.ones(instance.n, dtype=int))
+
+    monkeypatch.setattr(pclopt.cli, "grasp", over_capacity)
+    code, out, err = run_cli(["solve", "--instance", str(path), "--method", "exact"], capsys)
+    assert code == 1 and out == ""
+    envelope = json.loads(err)
+    assert envelope["code"] == "solver-failed"
+    assert "capacity" in envelope["message"]
 
 
 def test_bench_writes_report_and_log(tmp_path, capsys):
