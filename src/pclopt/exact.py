@@ -39,11 +39,15 @@ from scipy.optimize import linprog
 from .heuristics import grasp, greedy  # noqa: F401 -- unused; the benchmark's tracer patches them
 from .instance import (_CAPACITY_REL_TOL, Instance, fits_capacity, is_feasible, pair_positions,
                        tie_break_prefer, validate_assortment)
-from .objective import a_value, coefficients, ratio_order
+from .objective import a_value, coefficients, ratio_key, ratio_order, weight_exponents
 from .pricing import SolveResult, SolveStats, optimal_uniform_price, price_for_a
 
 _BRUTE_FORCE_MAX_N = 22
 _CHUNK_BITS = 16
+# the knapsack fill sorts this many best-ratio items first, and 4 times as
+# many while it uses them up; node fills at n = 1000 take about 40 products,
+# and at most about 115
+_KNAPSACK_CORE = 64
 # inflate majorant bounds so float noise can never put them below the optimum
 _MAJORANT_SAFETY = 1e-9
 # a relaxed value this close to 0 or 1 counts as integral
@@ -99,35 +103,49 @@ class BranchBoundConfig:
             raise ValueError("time_budget_s must be finite and nonnegative")
 
 
-def _fractional_knapsack(values, weights, capacity):
+def _fractional_knapsack(values, weights, capacity, exponents=None):
     """Relaxed knapsack over [0,1] items: fill by value/weight ratio.
 
     Items with nonpositive value are left at zero.  Returns (optimum, fill)
-    with fill the fractional solution over the given items.
+    with fill the fractional solution over the given items.  The fill
+    stops at its break item, so only the best-ratio items are sorted: those
+    keyed at most the 64th smallest ``ratio_key`` (ties included), a
+    prefix of ``ratio_order``, and 4 times as many while the fill uses them
+    up.  That costs O(m) plus a sort of O(fill) items.  ``exponents`` is
+    passed on to ``ratio_key``.  An overflowing optimum is inf, which
+    pricing refuses.
     """
     m = values.size
     fill = np.zeros(m)
     if m == 0 or capacity <= 0:
         return 0.0, fill
-    order = ratio_order(values, weights)
+    values = np.maximum(values, 0.0)
+    key = ratio_key(values, weights, exponents)
     total = 0.0
     remaining = capacity
-    # an overflowing bound becomes inf silently (also in the callers' float
-    # arithmetic) and is refused when priced
-    with np.errstate(over="ignore"):
-        for k in order:
-            if values[k] <= 0.0 or remaining <= 0.0:
-                break
-            if weights[k] <= remaining:
+    taken, size = 0, _KNAPSACK_CORE
+    while True:
+        if size < m:
+            core = np.flatnonzero(key <= np.partition(key, size - 1)[size - 1])
+            order = core[np.argsort(key[core], kind="stable")][taken:]
+        else:
+            order = np.argsort(key, kind="stable")[taken:]
+        for k, value, weight in zip(order.tolist(), values[order].tolist(),
+                                    weights[order].tolist()):
+            if value <= 0.0 or remaining <= 0.0:
+                return total, fill
+            if weight <= remaining:
                 fill[k] = 1.0
-                total += values[k]
-                remaining -= weights[k]
+                total += value
+                remaining -= weight
             else:
-                frac = remaining / weights[k]
+                frac = remaining / weight
                 fill[k] = frac
-                total += values[k] * frac
-                break
-    return float(total), fill
+                return total + value * frac, fill
+        taken += order.size
+        if taken == m:
+            return total, fill
+        size *= 4
 
 
 def knapsack_majorant_bound(instance: Instance) -> float:
@@ -363,8 +381,10 @@ def branch_and_bound(
     include-child adds the branching product to ``on`` and its mu row to the
     fold; the exclude-child shares its parent's ``on`` and fold, and both
     share one ``free``.  Nothing is written in place, so a node costs O(n)
-    plus the knapsack sort.  A node closes when its bound cannot beat the
-    incumbent, or when its fill is integral, feasible and attains the majorant.
+    plus a sort of the O(fill) best-ratio free products (the weights'
+    exponents of their ratio keys are taken once per solve).  A node closes
+    when its bound cannot beat the incumbent, or when its fill is integral,
+    feasible and attains the majorant.
 
     The search starts from ``incumbent`` (a feasible 0/1 assortment, such as
     GRASP's answer) or else from the empty one.  Exhausting the node or time
@@ -387,7 +407,8 @@ def branch_and_bound(
     inc_a = a_value(instance, inc_x)
 
     stats = SolveStats()
-    root_majorant, _ = _fractional_knapsack(lin_costs, weights, capacity)
+    exponents = weight_exponents(weights)
+    root_majorant, _ = _fractional_knapsack(lin_costs, weights, capacity, exponents)
     # a node is (on, free, bound, mu_fold)
     stack = [(np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
               root_majorant * (1 + _MAJORANT_SAFETY), np.zeros(n))]
@@ -430,7 +451,7 @@ def branch_and_bound(
         free_idx = np.flatnonzero(free)
         c_tilde = lin_costs[free_idx] + mu_fold[free_idx]
         majorant_free, fill = _fractional_knapsack(
-            np.clip(c_tilde, 0.0, None), weights[free_idx], residual
+            c_tilde, weights[free_idx], residual, exponents
         )
         majorant = fixed_part + majorant_free
         bound = min(bound, majorant * (1 + _MAJORANT_SAFETY))

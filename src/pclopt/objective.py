@@ -27,12 +27,18 @@ them on it; every solver, bound and heuristic reads them from there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .choice import log_nest_value
 from .instance import Instance, pair_members, pair_positions, validate_assortment
+
+# ratio_key orders exactly every value down to 2^-_RATIO_KEY_BITS of the
+# largest; the ratios of smaller ones may tie or misorder among themselves,
+# which moves a knapsack fill by under n 2^-64 of its value
+_RATIO_KEY_BITS = 64
 
 
 @dataclass
@@ -85,10 +91,44 @@ def coefficients(instance: Instance) -> LinearizedCoefficients:
     return instance._coefficients
 
 
+def weight_exponents(weights) -> tuple[int, int]:
+    """The binary exponents (of ``math.frexp``) of the smallest and the
+    largest weight: the part of ``ratio_key`` that a caller keying many
+    subsets of one weight vector takes once."""
+    return math.frexp(float(weights.min()))[1], math.frexp(float(weights.max()))[1]
+
+
+def ratio_key(values, weights, exponents=None) -> np.ndarray:
+    """Sort key of the value/weight ratio order, best ratio first:
+    -values / weights for nonempty, nonnegative values, scaled by a power
+    of two 2^s.
+
+    s is 0, the plain quotient, unless that could overflow or could round
+    the ratio of a value within 2^-_RATIO_KEY_BITS of the largest to a
+    subnormal or zero key; then s is the power nearest 0 that prevents
+    both.  A power-of-two scale is exact and keeps the rounding of every
+    normal quotient, so the order is that of the exact ratios wherever the
+    keys are normal.  ``exponents`` is ``weight_exponents`` of ``weights``
+    or of any vector holding them.  Raises OverflowError when the weights
+    span more than 2^(2043 - _RATIO_KEY_BITS), which no single scale serves.
+    """
+    e_wmin, e_wmax = weight_exponents(weights) if exponents is None else exponents
+    e_v = math.frexp(float(values.max()))[1]
+    # a key below 2^(e_v + s - e_wmin + 1) rounds to at most 2^1023, and
+    # the scaled values stay below 2^1024
+    s_hi = min(1022 + e_wmin, 1024) - e_v
+    # a value of 2^(e_v - 1 - bits) over a weight below 2^e_wmax keys to 2^-1022
+    s_lo = e_wmax - e_v + _RATIO_KEY_BITS - 1021
+    if s_lo > s_hi:
+        raise OverflowError("the weights span too wide a range to order value/weight ratios")
+    s = min(max(0, s_lo), s_hi)
+    return (np.ldexp(values, s) if s else values) / -weights
+
+
 def ratio_order(values, weights) -> np.ndarray:
     """Item indices by value/weight descending, ties to the smaller index:
     the order of the knapsack fills (lin_costs) and the heuristics (theta)."""
-    return np.lexsort((np.arange(values.size), -values / weights))
+    return np.argsort(ratio_key(values, weights), kind="stable")
 
 
 def a_value(instance: Instance, x) -> float:

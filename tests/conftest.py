@@ -223,3 +223,32 @@ def reference_local_search(instance, x, max_iter, rng):
         else:
             x[inc] = 0
     return x, accepted
+
+
+def reference_fractional_knapsack(values, weights, capacity):
+    """The fractional knapsack as it was before it sorted only its
+    best-ratio candidates: a lexsort of every -value/weight quotient,
+    ties to the smaller index, and a fill over numpy scalars.  An oracle
+    for exact._fractional_knapsack wherever those quotients are finite and
+    normal, which must return the same (optimum, fill) bit for bit."""
+    m = values.size
+    fill = np.zeros(m)
+    if m == 0 or capacity <= 0:
+        return 0.0, fill
+    order = np.lexsort((np.arange(m), -values / weights))
+    total = 0.0
+    remaining = capacity
+    with np.errstate(over="ignore"):
+        for k in order:
+            if values[k] <= 0.0 or remaining <= 0.0:
+                break
+            if weights[k] <= remaining:
+                fill[k] = 1.0
+                total += values[k]
+                remaining -= weights[k]
+            else:
+                frac = remaining / weights[k]
+                fill[k] = frac
+                total += values[k] * frac
+                break
+    return float(total), fill

@@ -25,10 +25,13 @@ from pclopt import (
     revenue_upper_bound,
 )
 
+from pclopt.exact import _fractional_knapsack
+
 from conftest import (
     assert_matches_all_pairs_lp,
     past_prefix_instance,
     random_instance,
+    reference_fractional_knapsack,
     small_utility_instance,
     toy_instance,
 )
@@ -204,6 +207,34 @@ def test_overflowing_majorant_is_silent():
     assert knapsack_majorant_bound(inst) == math.inf
     with pytest.raises(OverflowError):
         branch_and_bound(inst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.one_of(st.integers(0, 70), st.integers(60, 600)),
+    seed=st.integers(0, 2**32 - 1),
+    ties=st.booleans(),
+    nonpositive=st.sampled_from([0.0, 0.1, 0.5]),
+    scale=st.sampled_from([1.0, 1.0, 1e307]),
+    room=st.sampled_from([-0.1, 0.0, 0.01, 0.1, 0.5, 1.2]),
+)
+def test_fractional_knapsack_matches_the_full_sort(m, seed, ties, nonpositive, scale, room):
+    # the fill sorts 64, then 256, then all items; equal ratios, zero and
+    # negative values, no room, and (at scale 1e307) sums that overflow
+    rng = np.random.default_rng(seed)
+    if ties:
+        values = rng.choice([1.0, 2.0, 3.0, 4.0], m) * scale
+        weights = rng.choice([1.0, 2.0], m)
+    else:
+        values = rng.uniform(0.5, 2.0, m) * scale
+        weights = rng.uniform(1.0, 10.0, m)
+    drop = rng.random(m) < nonpositive
+    values[drop] = rng.choice([0.0, -1.0, -scale], drop.sum())
+    capacity = room * float(weights.sum())
+    total, fill = _fractional_knapsack(values, weights, capacity)
+    expected_total, expected_fill = reference_fractional_knapsack(values, weights, capacity)
+    assert (np.float64(total).tobytes(), fill.tobytes()) == (
+        np.float64(expected_total).tobytes(), expected_fill.tobytes())
 
 
 def test_branch_and_bound_matches_oracle():
@@ -388,6 +419,17 @@ PINNED_SEARCHES = [
        184, 195, 200, 205, 211, 224, 249, 251, 268, 274, 276, 290, 298, 318, 328, 341,
        343, 351, 363, 376, 380, 389, 390, 395],
       63844.49513305859, 65590.15055278)),
+    # node fills reach more than 100 products: the knapsack sorts past its first 64
+    ((1000, 0.04, 0, 2000),
+     ("feasible", 2000,
+      [5, 27, 57, 68, 77, 78, 82, 84, 85, 104, 117, 127, 145, 152, 153, 154, 161, 168, 170,
+       181, 202, 214, 217, 221, 222, 229, 239, 244, 246, 254, 266, 273, 280, 330, 337, 348,
+       366, 370, 379, 395, 413, 414, 434, 439, 440, 451, 467, 469, 493, 504, 527, 559, 567,
+       573, 577, 591, 601, 603, 612, 613, 615, 618, 632, 634, 638, 652, 654, 656, 657, 679,
+       691, 694, 699, 705, 715, 725, 732, 743, 751, 767, 769, 781, 783, 784, 785, 788, 794,
+       807, 824, 830, 833, 844, 847, 852, 853, 858, 861, 864, 867, 871, 876, 878, 881, 892,
+       903, 905, 923, 940, 948, 954, 965, 970, 986],
+      423137.1271709069, 435374.9556021504)),
 ]
 
 
@@ -445,3 +487,25 @@ def test_branch_and_bound_matches_brute_force_on_random_inputs(data):
     budgeted = branch_and_bound(inst, BranchBoundConfig(node_budget=budget))
     assert budgeted.a_value <= oracle.a_value
     assert budgeted.upper_bound >= oracle.a_value * (1 - 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_solvers_keep_the_optimum_when_ratios_leave_the_float_range(data):
+    # theta / w near exp(+-700) / 1e-+300 overflows or underflows, which
+    # tied the ratio order by index and put the majorant below the optimum
+    n = data.draw(st.integers(2, 8))
+    shift = data.draw(st.sampled_from([700.0, -700.0]))
+    scale = data.draw(st.sampled_from([1e-300, 1e300]))
+    alpha = [shift + a for a in data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))]
+    gammas = data.draw(st.lists(st.floats(0.2, 1.0), min_size=pair_count(n), max_size=pair_count(n)))
+    weights = [scale * w for w in data.draw(st.lists(st.floats(1.0, 5.0), min_size=n, max_size=n))]
+    capacity = data.draw(st.floats(0.2, 0.6)) * sum(weights)
+    inst = toy_instance(alpha, weights, capacity, gamma=np.array(gammas))
+    oracle = brute_force_oracle(inst)
+    for heuristic in (greedy, grasp):
+        seeded = heuristic(inst)
+        assert is_feasible(inst, seeded.assortment)
+        result = branch_and_bound(inst, incumbent=seeded.assortment)
+        assert result.status == "optimal"
+        assert result.a_value == pytest.approx(oracle.a_value, rel=1e-14, abs=0.0)

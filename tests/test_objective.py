@@ -18,6 +18,7 @@ from pclopt import (
 )
 
 from pclopt.heuristics import _add_gain
+from pclopt.objective import ratio_order
 
 from conftest import pair_sum_a, random_feasible_assortment, random_instance, toy_instance
 
@@ -205,3 +206,20 @@ def test_a_value_is_finite_where_its_linear_part_overflows():
     inst = toy_instance([708.5] * 3, [1.0] * 3, 3.0, gamma=1e-310)
     assert a_value(inst, [1, 1, 1]) == pytest.approx(3.0 * math.exp(708.5), rel=1e-13)
     assert a_value(inst, [1, 1, 1]) == pytest.approx(pair_sum_a(inst, [1, 1, 1]), rel=1e-13)
+
+
+@pytest.mark.parametrize("values, weights, expected", [
+    # the plain quotients overflow to -inf, and underflow to -0.0
+    ([1e304, 3e304, 2e304], [1e-300] * 3, [1, 2, 0]),
+    ([1e-304, 3e-304, 2e-304], [1e300] * 3, [1, 2, 0]),
+    # values 1e607 apart over unit weights keep the plain order
+    ([8e307, 1e-300, 2e-300], [1.0] * 3, [0, 2, 1]),
+])
+def test_ratio_order_holds_where_the_plain_quotient_leaves_the_float_range(
+        values, weights, expected):
+    assert ratio_order(np.array(values), np.array(weights)).tolist() == expected
+
+
+def test_ratio_order_refuses_weights_no_single_scale_serves():
+    with pytest.raises(OverflowError):
+        ratio_order(np.array([1.0, 1.0]), np.array([5e-324, 1e300]))
