@@ -30,7 +30,7 @@ import numpy as np
 from .exact import BranchBoundConfig, branch_and_bound, knapsack_majorant_bound, lp_relaxation
 from .heuristics import GraspConfig, grasp, greedy
 from .instance import Instance, pair_count
-from .pricing import lambert_w0
+from .pricing import lambert_w0, price_for_a  # noqa: F401 -- the tracer patches lambert_w0
 
 METHODS = ("exact", "lp-bound", "greedy", "grasp")
 
@@ -167,9 +167,7 @@ def _solve_one(task):
         lp = lp_relaxation(instance)
         record["lp_time_s"] = time.perf_counter() - t0
         record["lp_bound"] = lp.objective_value
-        record["revenue_upper_bound"] = (
-            lambert_w0(lp.objective_value / np.e) / instance.beta
-        )
+        record["revenue_upper_bound"] = price_for_a(lp.objective_value, instance.beta)[1]
     if "greedy" in methods:
         t0 = time.perf_counter()
         result = greedy(instance)

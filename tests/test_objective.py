@@ -96,13 +96,13 @@ def test_mu_is_exactly_zero_on_an_all_unit_gamma_instance(monkeypatch):
     )
     assert np.all(coefficients(inst).mu == 0.0)
     rows = []
-    linprog = pclopt.exact.linprog
+    solve_highs = pclopt.exact._solve_highs
 
-    def recording(*args, **kwargs):
-        rows.append(kwargs["A_ub"].shape[0])
-        return linprog(*args, **kwargs)
+    def recording(cost, a_ub, b_ub):
+        rows.append(a_ub.shape[0])
+        return solve_highs(cost, a_ub, b_ub)
 
-    monkeypatch.setattr(pclopt.exact, "linprog", recording)
+    monkeypatch.setattr(pclopt.exact, "_solve_highs", recording)
     lp = lp_relaxation(inst)
     assert rows == [1]  # the capacity row alone
     assert lp.objective_value == pytest.approx(knapsack_majorant_bound(inst), rel=1e-14)
