@@ -10,7 +10,8 @@ reproducible.
 ``run_experiment`` runs the requested methods over a grid, optionally
 persists one JSON line per instance for auditability, and aggregates
 average/maximum runtimes and upper-bound gaps per combination.  GRASP
-runs once per instance and its answer also starts branch-and-bound.
+and the root LP run once per instance, and both also start
+branch-and-bound.
 ``emit_report`` renders the rows as csv, markdown, or json; csv and
 markdown end with an Average row whose runtime cells are dashed.
 """
@@ -147,7 +148,9 @@ class ExperimentRow:
 
 def _solve_one(task):
     """Run the requested methods on one generated instance; returns the log
-    record.  ``exact_time_s`` times the search alone, from the GRASP answer."""
+    record.  One root LP serves both ``lp-bound`` and ``exact``;
+    ``exact_time_s`` times the search alone, from the GRASP answer and
+    that LP."""
     (n, kappa, index, master_seed, methods, beta, integer_weights,
      grasp_config, bb_config) = task
     seed = derive_seed(master_seed, n, kappa, index)
@@ -162,10 +165,12 @@ def _solve_one(task):
         "seed": seed,
         "majorant_bound": knapsack_majorant_bound(instance),
     }
-    if "lp-bound" in methods:
+    if "lp-bound" in methods or "exact" in methods:
         t0 = time.perf_counter()
         lp = lp_relaxation(instance)
-        record["lp_time_s"] = time.perf_counter() - t0
+        lp_time_s = time.perf_counter() - t0
+    if "lp-bound" in methods:
+        record["lp_time_s"] = lp_time_s
         record["lp_bound"] = lp.objective_value
         record["revenue_upper_bound"] = price_for_a(lp.objective_value, instance.beta)[1]
     if "greedy" in methods:
@@ -184,12 +189,15 @@ def _solve_one(task):
         record["grasp_revenue"] = grasp_result.revenue
     if "exact" in methods:
         t0 = time.perf_counter()
-        result = branch_and_bound(instance, bb_config, grasp_result.assortment)
+        result = branch_and_bound(instance, bb_config, grasp_result.assortment, lp)
         record["exact_time_s"] = time.perf_counter() - t0
         record["exact_a_value"] = result.a_value
         record["exact_revenue"] = result.revenue
         record["exact_status"] = result.status
         record["exact_nodes"] = result.stats.nodes
+        record["exact_upper_bound"] = result.upper_bound
+        record["exact_fixed_in"] = result.stats.fixed_in
+        record["exact_fixed_out"] = result.stats.fixed_out
     if "revenue_upper_bound" in record:
         ub = record["revenue_upper_bound"]
         for method in ("exact", "greedy", "grasp"):

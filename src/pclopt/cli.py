@@ -167,7 +167,7 @@ def _cmd_solve(args) -> int:
             result = brute_force_oracle(instance)
         elif args.method == "lp-bound":
             result = lp_bound_answer(instance)
-        else:  # grasp, and exact, whose search starts from the GRASP answer
+        else:  # grasp, and exact, whose search starts from the GRASP answer and solves the root LP
             result = grasp(instance, grasp_config)
             if args.method == "exact":
                 result = branch_and_bound(instance, bb_config, result.assortment)
@@ -305,3 +305,7 @@ def _fail(code: str, message: str, path: str | None, exit_code: int) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

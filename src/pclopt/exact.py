@@ -14,14 +14,25 @@ Three routes to the optimum / bounds on it:
   pair of that prefix, so one HiGHS solve usually suffices; violated rows
   outside it are still generated lazily, which keeps the answer exact.
   Each restricted LP goes to HiGHS through the binding scipy ships
-  (``_solve_highs``), with linprog's options but not its wrapper.
+  (``_solve_highs``), with linprog's options but not its wrapper.  Its
+  answer carries the dual certificate of its bound: the row duals, the
+  reduced costs of x and the weak-duality value.
 * ``lp_bound_answer`` is the bound-only answer: no assortment, the LP
   bound as ``upper_bound``, priced as if that A were attained, which gives
   ``revenue_upper_bound``.
-* ``branch_and_bound`` proves optimality over binary x, bounding every
-  node with the fractional-knapsack majorant of its free products (the mu
-  terms of the fixed-on products folded in), starting from the caller's
-  incumbent (in practice GRASP's answer) or from the empty assortment.
+* ``branch_and_bound`` proves optimality over binary x.  A solve runs
+  GRASP (the caller's incumbent), then the root LP, then reduced-cost
+  fixing, then the core search:
+
+  - the root LP's certificate bounds every assortment with a product in,
+    and every one with it out; a product whose bound either way falls
+    below the incumbent is fixed the other way (the reduction step of
+    Caprara, Pisinger & Toth, INFORMS J. Comput. 1999, with LP reduced
+    costs as in Nemhauser & Wolsey 1988);
+  - the products left free form a small core (in the sense of Pisinger's
+    knapsack core), searched depth first with every node bounded by the
+    fractional-knapsack majorant of its free products, the mu terms of
+    the fixed-in products folded in.
 
 ``knapsack_majorant_bound`` is the root version of that bound: dropping
 the nonpositive mu terms leaves (n-1) sum theta_i x_i, whose
@@ -48,8 +59,9 @@ from .pricing import SolveResult, SolveStats, optimal_uniform_price, price_for_a
 _BRUTE_FORCE_MAX_N = 22
 _CHUNK_BITS = 16
 # the knapsack fill sorts this many best-ratio items first, and 4 times as
-# many while it uses them up; node fills at n = 1000 take about 40 products,
-# and at most about 115
+# many while it uses them up; the root fill at n = 1000 takes about 115
+# products, and a node of the core search has at most its core (30-66 free
+# products on the kappa = 0.04, n = 1000 instances of master seed 0)
 _KNAPSACK_CORE = 64
 # inflate majorant bounds so float noise can never put them below the optimum
 _MAJORANT_SAFETY = 1e-9
@@ -90,10 +102,27 @@ class InstanceTooLarge(ValueError):
 
 @dataclass
 class LpSolution:
+    """The LP optimum (x, y), its objective and the HiGHS solves it took,
+    with the dual certificate of the last restricted LP, unscaled: the
+    pair positions of its pair rows and their duals (every other pair row's
+    dual is 0), the reduced costs of x and the weak-duality value
+    D >= objective_value.  The duals are kept sparse: a dense vector over
+    every pair would take 4 MB at n = 1000 for about 6.5k rows.
+
+    Every omitted pair's y column has reduced cost mu <= 0 at a zero dual,
+    so the certificate holds for the full program: D - max(0, r_k) + r_k
+    bounds every assortment that offers product k, and D - max(0, r_k)
+    every one that does not.
+    """
+
     x_frac: np.ndarray
     y_frac: np.ndarray
     objective_value: float
     lp_solves: int
+    pair_rows: np.ndarray
+    pair_duals: np.ndarray
+    reduced_costs: np.ndarray
+    dual_bound: float
 
 
 @dataclass
@@ -166,12 +195,14 @@ def knapsack_majorant_bound(instance: Instance) -> float:
     return (instance.n - 1) * best
 
 
-def _weak_duality_bound(cost, a_ub, b_ub, u, exponent) -> float:
-    """u'b plus the positive reduced costs, unscaled by 2^-exponent: for
-    any u >= 0 it bounds max -cost'z over A z <= b, 0 <= z <= 1 above."""
-    return float(np.ldexp(
-        u @ b_ub + np.maximum(0.0, -cost - a_ub.T @ u).sum(), -exponent
-    ))
+def _weak_duality_bound(cost, a_ub, b_ub, u, exponent) -> tuple[float, np.ndarray]:
+    """(D, r), unscaled by 2^-exponent: the reduced costs r = -cost - A'u
+    and D = u'b plus the positive reduced costs.  For any u >= 0, D bounds
+    max -cost'z over A z <= b, 0 <= z <= 1 above, and D - max(0, r_k) +
+    r_k (D - max(0, r_k)) bounds it with z_k fixed at 1 (0)."""
+    reduced = -cost - a_ub.T @ u
+    dual = np.ldexp(u @ b_ub + np.maximum(0.0, reduced).sum(), -exponent)
+    return float(dual), np.ldexp(reduced, -exponent)
 
 
 def _refined_duals(cost, a_ub, u, z) -> np.ndarray:
@@ -254,7 +285,11 @@ def lp_relaxation(instance: Instance) -> LpSolution:
     The reported objective is the canonical full one at x, unless HiGHS's
     duals, as returned and refined on its basis, both bound the LP above
     it by more than rounding; then it is the smaller dual bound, which
-    stays valid when HiGHS stops within its tolerance.
+    stays valid when HiGHS stops within its tolerance.  The certificate is
+    that of the duals with the smaller bound.  Where the objective at x
+    overflows, the dual bound is reported, and it is inf when it overflows
+    too: pricing refuses it, and branch-and-bound then fixes nothing and
+    keeps its own bounds.
     """
     n = instance.n
     I, J = instance.pair_i, instance.pair_j
@@ -310,16 +345,20 @@ def lp_relaxation(instance: Instance) -> LpSolution:
             u = np.maximum(0.0, -row_dual)
             with np.errstate(over="ignore", invalid="ignore"):
                 objective = float(lin_costs @ x + mu @ y)
-                dual = _weak_duality_bound(cost, a_ub, b_ub, u, exponent)
+                dual, reduced = _weak_duality_bound(cost, a_ub, b_ub, u, exponent)
                 if dual - objective > _DUALITY_GAP_REL_TOL * abs(objective):
                     refined = _refined_duals(cost, a_ub, u, z)
-                    dual = min(dual, _weak_duality_bound(cost, a_ub, b_ub, refined, exponent))
-            if dual - objective > _DUALITY_GAP_REL_TOL * abs(objective):
+                    refined_dual, refined_reduced = _weak_duality_bound(
+                        cost, a_ub, b_ub, refined, exponent)
+                    if refined_dual < dual:
+                        u, dual, reduced = refined, refined_dual, refined_reduced
+            if (not math.isfinite(objective)
+                    or dual - objective > _DUALITY_GAP_REL_TOL * abs(objective)):
                 objective = dual
-            if not np.isfinite(objective):
-                raise OverflowError("the LP bound overflows the float range")
             return LpSolution(
-                x_frac=x, y_frac=y, objective_value=objective, lp_solves=solves
+                x_frac=x, y_frac=y, objective_value=objective, lp_solves=solves,
+                pair_rows=sel, pair_duals=np.ldexp(u[1:], -exponent),
+                reduced_costs=reduced[:n], dual_bound=dual,
             )
         deepest = rank[np.concatenate([i[violated], j[violated]])].max()
         prefix = max(prefix, math.ceil(_SEED_PREFIX_FACTOR * (deepest + 1)))
@@ -410,29 +449,52 @@ def brute_force_oracle(instance: Instance) -> SolveResult:
     )
 
 
+def _reduced_cost_fixing(lp: LpSolution, inc_a: float) -> tuple[np.ndarray, np.ndarray]:
+    """(fixed_in, fixed_out) masks: the products whose certificate bound
+    with them out (in) falls below the incumbent's A by more than the tie
+    slack, so every assortment tied with the incumbent keeps its freedom.
+    Both bounds are weak duality for any duals u >= 0, so an inaccurate LP
+    solve fixes nothing wrongly; a product fixed both ways is fixed in."""
+    threshold = inc_a * (1 - _TIE_REL_TOL)
+    with np.errstate(invalid="ignore"):  # an infinite D fixes nothing
+        without = lp.dual_bound - np.maximum(0.0, lp.reduced_costs)
+        fixed_in = without < threshold
+        return fixed_in, ~fixed_in & (without + lp.reduced_costs < threshold)
+
+
 def branch_and_bound(
-    instance: Instance, config: BranchBoundConfig | None = None, incumbent=None
+    instance: Instance, config: BranchBoundConfig | None = None, incumbent=None,
+    root_lp: LpSolution | None = None,
 ) -> SolveResult:
     """Exact maximizer of A(x) over feasible assortments.
 
-    Depth-first search branching on the fractional product of the node's
-    knapsack fill (include-branch explored first).  A node is the boolean
-    masks ``on`` (fixed in) and ``free``, its inherited bound and ``mu_fold``
-    = mu_matrix @ on, and is bounded by the fractional-knapsack majorant of
-    its free products with the mu terms of ``on`` folded in.  The
-    include-child adds the branching product to ``on`` and its mu row to the
-    fold; the exclude-child shares its parent's ``on`` and fold, and both
-    share one ``free``.  Nothing is written in place, so a node costs O(n)
-    plus a sort of the O(fill) best-ratio free products (the weights'
-    exponents of their ratio keys are taken once per solve).  A node closes
-    when its bound cannot beat the incumbent, or when its fill is integral,
-    feasible and attains the majorant.
-
     The search starts from ``incumbent`` (a feasible 0/1 assortment, such as
-    GRASP's answer) or else from the empty one.  Exhausting the node or time
-    budget returns status "feasible", the best incumbent and, as
-    ``upper_bound``, the largest bound still open, which a larger budget
-    never loosens.
+    GRASP's answer) or else from the empty one, and from ``root_lp``, the
+    instance's ``lp_relaxation``, which it solves itself when not given.
+    The LP's certificate fixes products in and out against the incumbent
+    (``_reduced_cost_fixing``); the rest, the core, are searched.
+
+    Depth-first search over the core, branching on the fractional product
+    of the node's knapsack fill (include-branch explored first).  The core
+    has its own arrays: the free products' linear costs with the mu terms
+    of the fixed-in products folded in, their mu block and the capacity
+    the fixed-in products leave.  A node is the boolean core masks ``on``
+    (fixed in) and ``free``, its inherited bound and ``mu_fold`` = mu block
+    @ on, and is bounded by the fractional-knapsack majorant of its free
+    products with the mu terms of ``on`` folded in.  The include-child adds
+    the branching product to ``on`` and its mu row to the fold; the
+    exclude-child shares its parent's ``on`` and fold, and both share one
+    ``free``.  Nothing is written in place, so a node costs O(core) plus a
+    sort of the O(fill) best-ratio free products.  A node closes when its
+    fixed-in products do not fit (a fixed-in set that does not fit closes
+    the search at once), when its bound cannot beat the incumbent, or when
+    its fill is integral, feasible and attains the majorant.
+
+    Exhausting the node or time budget returns status "feasible", the best
+    incumbent and, as ``upper_bound``, the LP value or the largest bound
+    still open, whichever is smaller (never below the incumbent), which a
+    larger budget never loosens.  ``stats`` counts the core's nodes, the
+    root LP's solves and the fixed products.
     """
     if config is None:
         config = BranchBoundConfig()
@@ -440,21 +502,38 @@ def branch_and_bound(
     n = instance.n
     weights, capacity = instance.weights, instance.capacity
     coeffs = coefficients(instance)
-    mu_mat = coeffs.mu_matrix(n)
-    lin_costs = coeffs.lin_costs
 
     inc_x = validate_assortment(instance, np.zeros(n) if incumbent is None else incumbent)
     if not is_feasible(instance, inc_x):
         raise ValueError("incumbent exceeds the capacity")
     inc_a = a_value(instance, inc_x)
 
-    stats = SolveStats()
+    lp = lp_relaxation(instance) if root_lp is None else root_lp
+    fixed_in, fixed_out = _reduced_cost_fixing(lp, inc_a)
+    fixed = np.flatnonzero(fixed_in)
+    core = np.flatnonzero(~(fixed_in | fixed_out))
+    mu_mat = coeffs.mu_matrix(n)
+    mu_core = mu_mat[np.ix_(core, core)]
+    lin_core = coeffs.lin_costs[core] + mu_mat[np.ix_(core, fixed)].sum(axis=1)
+    w_core = weights[core]
+    weight_in = float(weights[fixed].sum())
+    value_in = (float(coeffs.lin_costs[fixed].sum())
+                + 0.5 * float(mu_mat[np.ix_(fixed, fixed)].sum()))
+
+    stats = SolveStats(lp_solves=lp.lp_solves, fixed_in=fixed.size,
+                       fixed_out=int(np.count_nonzero(fixed_out)))
     exponents = weight_exponents(weights)
-    root_majorant, _ = _fractional_knapsack(lin_costs, weights, capacity, exponents)
-    # a node is (on, free, bound, mu_fold)
-    stack = [(np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
-              root_majorant * (1 + _MAJORANT_SAFETY), np.zeros(n))]
+    root_majorant, _ = _fractional_knapsack(lin_core, w_core, capacity - weight_in, exponents)
+    # a node is (on, free, bound, mu_fold), over the core
+    m = core.size
+    stack = [(np.zeros(m, dtype=bool), np.ones(m, dtype=bool),
+              (value_in + root_majorant) * (1 + _MAJORANT_SAFETY), np.zeros(m))]
     stopped = False
+
+    def offered(on) -> np.ndarray:
+        x = fixed_in.astype(np.int8)
+        x[core[on]] = 1
+        return x
 
     def maybe_update(x_cand: np.ndarray) -> float:
         nonlocal inc_x, inc_a
@@ -477,23 +556,23 @@ def branch_and_bound(
         stats.nodes += 1
         attain_tol = _ATTAIN_REL_TOL * abs(inc_a)
 
-        weight_fixed = float(weights @ on)
-        if weight_fixed > capacity:
+        weight_fixed = weight_in + float(w_core @ on)
+        if not fits_capacity(instance, weight_fixed, lambda _: offered(on)):
             continue
         residual = capacity - weight_fixed
         # a product that fits to rounding stays free for the integral check
-        free = free & (weights - residual <= _CAPACITY_REL_TOL * capacity)
+        free = free & (w_core - residual <= _CAPACITY_REL_TOL * capacity)
         if not free.any():
-            maybe_update(on.astype(np.int8))
+            maybe_update(offered(on))
             continue
 
         # linearized objective with the fixed-on set folded in:
         # value(x) = fixed_part + sum over free offered of c_tilde + free-free mu
-        fixed_part = float(lin_costs @ on) + 0.5 * float(on @ mu_fold)
+        fixed_part = value_in + float(lin_core @ on) + 0.5 * float(on @ mu_fold)
         free_idx = np.flatnonzero(free)
-        c_tilde = lin_costs[free_idx] + mu_fold[free_idx]
+        c_tilde = lin_core[free_idx] + mu_fold[free_idx]
         majorant_free, fill = _fractional_knapsack(
-            c_tilde, weights[free_idx], residual, exponents
+            c_tilde, w_core[free_idx], residual, exponents
         )
         majorant = fixed_part + majorant_free
         bound = min(bound, majorant * (1 + _MAJORANT_SAFETY))
@@ -509,9 +588,10 @@ def branch_and_bound(
         pick = int(np.argmax(fractionality))
         if fractionality[pick] <= _INTEGRALITY_TOL:
             filled = free_idx[fill > 0.5]
-            x_int = on.astype(np.int8)
-            x_int[filled] = 1
-            load = weight_fixed + float(weights[filled].sum())
+            on_filled = on.copy()
+            on_filled[filled] = True
+            x_int = offered(on_filled)
+            load = weight_fixed + float(w_core[filled].sum())
             # a fill attaining the raw majorant is optimal in the subtree
             if (fits_capacity(instance, load, lambda _: x_int)
                     and maybe_update(x_int) >= majorant - attain_tol):
@@ -521,9 +601,11 @@ def branch_and_bound(
         child_on, child_free = on.copy(), free.copy()
         child_on[branch_var], child_free[branch_var] = True, False
         stack.append((on, child_free, bound, mu_fold))
-        stack.append((child_on, child_free, bound, mu_fold + mu_mat[branch_var]))
+        stack.append((child_on, child_free, bound, mu_fold + mu_core[branch_var]))
 
-    upper = max([inc_a] + [node[2] for node in stack]) if stopped else inc_a
+    upper = inc_a
+    if stopped:
+        upper = max(inc_a, min(lp.objective_value, max(node[2] for node in stack)))
     status = "feasible" if stopped else "optimal"
     price, revenue = optimal_uniform_price(instance, inc_x)
     stats.wall_time_s = time.perf_counter() - t0

@@ -72,27 +72,48 @@ def _construct(instance, order, rcl, rng):
     unselected products that still fit, until nothing fits.  The RNG is
     drawn only when the pool holds more than one product.  The pool admits
     weights up to rounding past the room left; a pick the capacity rule
-    refuses (a sum within rounding of C) is dropped for good, and redrawn."""
-    weights = instance.weights[order]
-    taken = np.zeros(instance.n, dtype=bool)
-    untried = np.ones(instance.n, dtype=bool)
+    refuses (a sum within rounding of C) is dropped for good, and redrawn.
+
+    The room only shrinks, so a product that stops fitting never fits
+    again: it leaves the ratio-ordered list of candidates for good, as a
+    pick does.  The list is linked through ``after``, so a construction
+    visits each product once to drop it, plus the pool at every pick."""
+    weights = instance.weights[order].tolist()
+    n = instance.n
+    after = list(range(1, n + 1))  # the next candidate's position; n ends the list
+    head = 0
+    taken = []
     load = 0.0
 
     def offered(*picks):
-        x = np.zeros(instance.n, dtype=np.int8)
-        x[order[taken]] = 1
-        x[order[list(picks)]] = 1
+        x = np.zeros(n, dtype=np.int8)
+        x[order[taken + list(picks)]] = 1
         return x
 
     while True:
         room = instance.capacity * (1 + 2 * _CAPACITY_REL_TOL) - load
-        pool = np.flatnonzero(untried & (weights <= room))[:rcl]
-        if pool.size == 0:
+        # the pool is the first rcl candidates that fit, consecutive in the
+        # list once those that do not are unlinked
+        pool = []
+        k = head
+        while k < n and len(pool) < rcl:
+            if weights[k] <= room:
+                pool.append(k)
+            elif pool:
+                after[pool[-1]] = after[k]
+            else:
+                head = after[k]
+            k = after[k]
+        if not pool:
             return offered()
-        k = pool[int(rng.integers(pool.size))] if pool.size > 1 else pool[0]
-        untried[k] = False
+        i = int(rng.integers(len(pool))) if len(pool) > 1 else 0
+        k = pool[i]
+        if i:
+            after[pool[i - 1]] = after[k]
+        else:
+            head = after[k]
         if fits_capacity(instance, load + weights[k], lambda _: offered(k)):
-            taken[k] = True
+            taken.append(k)
             load += weights[k]
 
 

@@ -85,14 +85,17 @@ def optimal_uniform_price(instance: Instance, x) -> tuple[float, float]:
 @dataclass
 class SolveStats:
     """Search effort behind an answer: branch-and-bound nodes (brute force
-    counts the 2^n assortments) and root LP solves.  Heuristic answers set
+    counts the 2^n assortments), root LP solves, and the products the root
+    LP's reduced costs fixed in and out.  Heuristic answers set
     ``improvement_count`` (GRASP also ``construction_rcl``) and serialize
-    those in place of ``nodes`` and ``lp_solves``.  Heuristics and the LP
+    those in place of the search counts.  Heuristics and the LP
     bound leave ``wall_time_s`` at 0, so their results repeat exactly; the
     CLI stamps it on every answer."""
 
     nodes: int = 0
     lp_solves: int = 0
+    fixed_in: int = 0
+    fixed_out: int = 0
     wall_time_s: float = 0.0
     construction_rcl: int | None = None
     improvement_count: int | None = None
@@ -107,6 +110,8 @@ class SolveStats:
         return {
             "nodes": self.nodes,
             "lp_solves": self.lp_solves,
+            "fixed_in": self.fixed_in,
+            "fixed_out": self.fixed_out,
             "wall_time_s": self.wall_time_s,
         }
 

@@ -111,6 +111,10 @@ def test_per_instance_chains(small_run):
         assert rec["grasp_revenue"] >= rec["greedy_revenue"] - slack
         assert rec["gap_exact_pct"] <= rec["gap_grasp_pct"] + slack
         assert rec["gap_grasp_pct"] <= rec["gap_greedy_pct"] + slack
+        # branch-and-bound's bound is never looser than the LP it was given
+        assert rec["exact_a_value"] <= rec["exact_upper_bound"]
+        assert rec["exact_upper_bound"] <= max(rec["lp_bound"], rec["exact_a_value"])
+        assert rec["exact_fixed_in"] + rec["exact_fixed_out"] <= rec["n"]
 
 
 def test_aggregates_recompute_from_log(small_run):
@@ -165,6 +169,21 @@ def test_run_experiment_runs_each_heuristic_once_per_instance(monkeypatch):
             monkeypatch.setattr(module, name, counting)
     run_experiment([(20, 0.04)], 1, METHODS, 0)
     assert calls == {"greedy": 1, "grasp": 1}
+
+
+@pytest.mark.parametrize("methods", [METHODS, ["exact"]], ids=["all", "exact"])
+def test_run_experiment_solves_the_root_lp_once_per_instance(monkeypatch, methods):
+    calls = []
+    original = pclopt.exact.lp_relaxation
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (pclopt.bench, pclopt.exact):
+        monkeypatch.setattr(module, "lp_relaxation", counting)
+    run_experiment([(20, 0.04)], 2, methods, 0)
+    assert len(calls) == 2
 
 
 def test_run_experiment_partial_methods():

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -255,6 +258,23 @@ def test_solve_prints_the_library_answer(tmp_path, capsys, method, solver):
     assert printed == expected
 
 
+def test_python_dash_m_runs_the_cli(tmp_path, capsys):
+    path = write_instance(tmp_path, capsys, n=12, kappa=0.25)
+    argv = ["solve", "--instance", str(path), "--method", "exact"]
+    # the interpreter imports the pclopt this test imported
+    package_root = os.path.dirname(os.path.dirname(pclopt.cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "pclopt.cli", *argv], capture_output=True,
+                         text=True, env=env, timeout=120)
+    code, out, _ = run_cli(argv, capsys)
+    assert (run.returncode, run.stderr) == (code, "") == (0, "")
+    printed, expected = json.loads(run.stdout), json.loads(out)
+    assert printed["stats"].pop("wall_time_s") > 0.0
+    expected["stats"].pop("wall_time_s")
+    assert printed == expected
+
+
 def write_huge_instance(tmp_path, alpha=705.0):
     # theta = exp(705): A(x) ~ 1e307, near the top of the float range
     path = tmp_path / "huge.json"
@@ -301,6 +321,20 @@ def test_largest_finite_alpha_keeps_its_answer(tmp_path, capsys, method):
     assert payload["assortment"] == [1, 1, 1, 0, 0]
     assert payload["a_value"] == 1.1392279815175453e308
     assert payload["price"] == 7027.729495479501
+
+
+@pytest.mark.filterwarnings("error")
+def test_exact_and_lp_bound_answer_where_the_lp_objective_at_x_overflows(tmp_path, capsys):
+    # at alpha = 707.3 the best A is 1.54e308: the LP's (n-1) theta @ x
+    # overflows, but its dual bound does not
+    path = write_huge_instance(tmp_path, alpha=707.3)
+    code, out, err = run_cli(["solve", "--instance", str(path), "--method", "exact"], capsys)
+    assert code == 0 and err == ""
+    exact = json.loads(out)
+    assert (exact["status"], exact["assortment"]) == ("optimal", [1, 1, 1, 0, 0])
+    code, out, err = run_cli(["solve", "--instance", str(path), "--method", "lp-bound"], capsys)
+    assert code == 0 and err == ""
+    assert exact["a_value"] <= json.loads(out)["upper_bound"] < math.inf
 
 
 @pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the test

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from pclopt import (
 )
 
 import pclopt.exact
-from pclopt.exact import _fractional_knapsack, _solve_highs
+from pclopt.exact import _fractional_knapsack, _reduced_cost_fixing, _solve_highs
 
 from conftest import (
     assert_matches_all_pairs_lp,
@@ -159,6 +160,32 @@ def test_lp_rows_grow_past_the_seeded_prefix():
     assert_matches_all_pairs_lp(inst, lp.objective_value)
 
 
+def test_lp_certificate_bounds_every_assortment_with_a_product_in_or_out():
+    for seed in range(6):
+        inst = random_instance(seed + 900, n=8)
+        lp = lp_relaxation(inst)
+        coeffs = coefficients(inst)
+        I, J = inst.pair_i, inst.pair_j
+        rows, u = lp.pair_rows, lp.pair_duals
+        assert np.all(np.diff(rows) > 0) and np.all(coeffs.mu[rows] < 0) and np.all(u >= 0)
+        # r = (n-1) theta - u_0 w - the duals of each product's pair rows, for one u_0 >= 0
+        pair_part = np.bincount(I[rows], u, inst.n) + np.bincount(J[rows], u, inst.n)
+        u_0 = (coeffs.lin_costs - pair_part - lp.reduced_costs) / inst.weights
+        assert u_0 == pytest.approx(np.full(inst.n, u_0.mean()), rel=1e-9, abs=1e-9 * u_0.max())
+        assert u_0.mean() >= -1e-9
+        dual = (u_0.mean() * inst.capacity + u.sum() + np.maximum(0.0, lp.reduced_costs).sum()
+                + np.maximum(0.0, coeffs.mu[rows] + u).sum())
+        assert lp.dual_bound == pytest.approx(dual, rel=1e-9)
+        assert lp.dual_bound >= lp.objective_value
+        # D - max(0, r_k) + r_k bounds every assortment offering k, D - max(0, r_k) the rest
+        without = lp.dual_bound - np.maximum(0.0, lp.reduced_costs)
+        for mask in range(1 << inst.n):
+            x = (mask >> np.arange(inst.n)) & 1
+            if is_feasible(inst, x):
+                bounds = np.where(x == 1, without + lp.reduced_costs, without)
+                assert np.all(a_value(inst, x) <= bounds * (1 + 1e-12))
+
+
 def _draw_lp_instance(data):
     n = data.draw(st.integers(2, 14))
     shift = data.draw(st.sampled_from([0.0, -300.0, -700.0, 700.0]))
@@ -252,6 +279,22 @@ def test_overflowing_majorant_is_silent():
     assert knapsack_majorant_bound(inst) == math.inf
     with pytest.raises(OverflowError):
         branch_and_bound(inst)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_lp_bound_fixes_nothing():
+    # an LP bound past the float range is inf; its reduced costs may be -inf too
+    inst = random_instance(71, n=10)
+    lp = lp_relaxation(inst)
+    reduced = lp.reduced_costs.copy()
+    reduced[0] = -math.inf
+    overflowed = dataclasses.replace(
+        lp, objective_value=math.inf, dual_bound=math.inf, reduced_costs=reduced)
+    result = branch_and_bound(inst, root_lp=overflowed)
+    assert (result.stats.fixed_in, result.stats.fixed_out) == (0, 0)
+    assert np.array_equal(result.assortment, brute_force_oracle(inst).assortment)
+    budgeted = branch_and_bound(inst, BranchBoundConfig(node_budget=1), root_lp=overflowed)
+    assert budgeted.a_value <= budgeted.upper_bound < math.inf
 
 
 @settings(max_examples=200, deadline=None)
@@ -437,34 +480,35 @@ def test_result_serialization():
     payload = result.to_dict()
     assert payload["status"] == "optimal"
     assert payload["assortment"] == result.assortment.tolist()
-    assert set(payload["stats"]) == {"nodes", "lp_solves", "wall_time_s"}
+    assert set(payload["stats"]) == {"nodes", "lp_solves", "fixed_in", "fixed_out", "wall_time_s"}
 
 
 # (n, kappa, index, node_budget) -> (status, nodes, offered, a_value, upper_bound)
 # of branch_and_bound from the GRASP answer, as bench._solve_one starts it at
-# master seed 0; a change to the node arithmetic that moves the search moves these
+# master seed 0; a change to the fixing or the node arithmetic that moves the
+# search moves these.  At the budget the LP value is the tighter bound
 PINNED_SEARCHES = [
-    ((20, 0.04, 0, None), ("optimal", 25, [3, 6, 12], 177.13108419128628, 177.13108419128628)),
-    ((20, 0.06, 2, None), ("optimal", 29, [2, 14, 18], 130.80335347241186, 130.80335347241186)),
+    ((20, 0.04, 0, None), ("optimal", 23, [3, 6, 12], 177.13108419128628, 177.13108419128628)),
+    ((20, 0.06, 2, None), ("optimal", 15, [2, 14, 18], 130.80335347241186, 130.80335347241186)),
     ((50, 0.04, 0, None),
-     ("optimal", 439, [6, 8, 23, 27, 38, 45], 1055.6986948396477, 1055.6986948396477)),
+     ("optimal", 21, [6, 8, 23, 27, 38, 45], 1055.6986948396477, 1055.6986948396477)),
     ((50, 0.06, 2, None),
-     ("optimal", 271, [0, 17, 20, 22, 24, 34, 45, 46], 1609.8363903535483, 1609.8363903535483)),
+     ("optimal", 5, [0, 17, 20, 22, 24, 34, 45, 46], 1609.8363903535483, 1609.8363903535483)),
     ((100, 0.02, 1, None),
-     ("optimal", 807, [37, 40, 52, 66, 71, 72, 82], 2754.469524389556, 2754.469524389556)),
+     ("optimal", 127, [37, 40, 52, 66, 71, 72, 82], 2754.469524389556, 2754.469524389556)),
     ((100, 0.04, 0, None),
-     ("optimal", 4123, [0, 13, 14, 48, 52, 60, 65, 72, 86, 87, 99],
+     ("optimal", 47, [0, 13, 14, 48, 52, 60, 65, 72, 86, 87, 99],
       4422.0534966454, 4422.0534966454)),
     ((100, 0.06, 1, None),
-     ("optimal", 2197, [1, 2, 19, 25, 29, 30, 35, 36, 38, 51, 57, 64, 72, 87, 89],
+     ("optimal", 7, [1, 2, 19, 25, 29, 30, 35, 36, 38, 51, 57, 64, 72, 87, 89],
       5960.11126299654, 5960.11126299654)),
     ((400, 0.04, 0, 2000),
      ("feasible", 2000,
-      [6, 19, 29, 42, 43, 44, 47, 49, 55, 61, 65, 93, 98, 117, 118, 127, 162, 171, 175,
-       184, 195, 200, 205, 211, 224, 249, 251, 268, 274, 276, 290, 298, 318, 328, 341,
-       343, 351, 363, 376, 380, 389, 390, 395],
-      63844.49513305859, 65590.15055278)),
-    # node fills reach more than 100 products: the knapsack sorts past its first 64
+      [6, 19, 29, 42, 43, 44, 47, 49, 55, 61, 65, 93, 98, 117, 118, 162, 171, 175, 184,
+       195, 200, 205, 211, 224, 249, 251, 255, 268, 274, 276, 290, 298, 318, 328, 341,
+       343, 351, 363, 376, 380, 389, 395],
+      63896.431682469796, 63971.68819585153)),
+    # fixing leaves a core of 50 products: 93 fixed in, 857 fixed out
     ((1000, 0.04, 0, 2000),
      ("feasible", 2000,
       [5, 27, 57, 68, 77, 78, 82, 84, 85, 104, 117, 127, 145, 152, 153, 154, 161, 168, 170,
@@ -474,7 +518,7 @@ PINNED_SEARCHES = [
        691, 694, 699, 705, 715, 725, 732, 743, 751, 767, 769, 781, 783, 784, 785, 788, 794,
        807, 824, 830, 833, 844, 847, 852, 853, 858, 861, 864, 867, 871, 876, 878, 881, 892,
        903, 905, 923, 940, 948, 954, 965, 970, 986],
-      423137.1271709069, 435374.9556021504)),
+      423137.1271709069, 423417.23492052074)),
 ]
 
 
@@ -554,3 +598,42 @@ def test_solvers_keep_the_optimum_when_ratios_leave_the_float_range(data):
         result = branch_and_bound(inst, incumbent=seeded.assortment)
         assert result.status == "optimal"
         assert result.a_value == pytest.approx(oracle.a_value, rel=1e-14, abs=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fixing_keeps_the_optimum_and_its_preferred_tie(data):
+    # fixing against the optimum itself, the largest incumbent there is,
+    # fixes the most; the assortment brute force returns, the optimum that
+    # tie_break_prefer ranks first, must keep every product where it is
+    n = data.draw(st.integers(2, 12))
+    shift = data.draw(st.sampled_from([0.0] * 4 + [700.0, -700.0]))
+    scale = data.draw(st.sampled_from([1.0] * 4 + [1e300, 1e-300]))
+    # base utilities at most 3 keep A below the float range at shift 700
+    alpha = [shift + a for a in data.draw(st.lists(st.floats(-5.0, 3.0), min_size=n, max_size=n))]
+    gammas = data.draw(st.lists(
+        st.one_of(st.just(1e-310), st.floats(1e-3, 1.0), st.just(1.0)),
+        min_size=pair_count(n), max_size=pair_count(n),
+    ))
+    weights = [scale * w for w in data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))]
+    subset = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if any(subset) and data.draw(st.booleans()):
+        capacity = float(np.dot(weights, np.array(subset, dtype=float)))
+    else:
+        capacity = data.draw(st.floats(0.05, 1.1)) * sum(weights)
+    inst = toy_instance(alpha, weights, capacity, gamma=np.array(gammas))
+    oracle = brute_force_oracle(inst)
+    lp = lp_relaxation(inst)
+
+    fixed_in, fixed_out = _reduced_cost_fixing(lp, oracle.a_value)
+    offered = oracle.assortment == 1
+    assert not (fixed_in & ~offered).any() and not (fixed_out & offered).any()
+
+    result = branch_and_bound(inst, incumbent=grasp(inst).assortment, root_lp=lp)
+    assert result.status == "optimal"
+    assert result.a_value == pytest.approx(oracle.a_value, rel=1e-14, abs=0.0)
+
+    budgeted = branch_and_bound(
+        inst, BranchBoundConfig(node_budget=data.draw(st.integers(0, 5))), root_lp=lp)
+    assert budgeted.upper_bound >= oracle.a_value * (1 - 1e-12)
+    assert budgeted.upper_bound <= max(lp.objective_value, budgeted.a_value)

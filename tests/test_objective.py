@@ -15,6 +15,7 @@ from pclopt import (
     knapsack_majorant_bound,
     lp_relaxation,
     pair_count,
+    pair_members,
 )
 
 from pclopt.heuristics import _add_gain
@@ -125,6 +126,18 @@ def _flipped(x, *products):
     y = x.copy()
     y[list(products)] ^= 1
     return y
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 40])
+def test_mu_matrix_scatters_every_pair_both_ways(n):
+    # the reference scatter over the pair index arrays
+    inst = random_instance(n + 500, n=n)
+    coeffs = coefficients(inst)
+    I, J = pair_members(n)
+    expected = np.zeros((n, n))
+    expected[I, J] = coeffs.mu
+    expected[J, I] = coeffs.mu
+    assert np.array_equal(coeffs.mu_matrix(n), expected)
 
 
 def test_swap_delta_matches_full_recomputation():
