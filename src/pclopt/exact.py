@@ -14,9 +14,12 @@ Three routes to the optimum / bounds on it:
   pair of that prefix, so one HiGHS solve usually suffices; violated rows
   outside it are still generated lazily, which keeps the answer exact.
   Each restricted LP goes to HiGHS through the binding scipy ships
-  (``_solve_highs``), with linprog's options but not its wrapper.  Its
-  answer carries the dual certificate of its bound: the row duals, the
-  reduced costs of x and the weak-duality value.
+  (``_solve_highs``), with linprog's options but not its wrapper.  The
+  binding is loaded from its file (``_load_highs``), so importing pclopt
+  imports neither scipy.optimize nor scipy.sparse: the matrix is built as
+  CSC arrays in numpy (``_lp_matrix``), the same arrays scipy.sparse
+  would hold.  Its answer carries the dual certificate of its bound: the
+  row duals, the reduced costs of x and the weak-duality value.
 * ``lp_bound_answer`` is the bound-only answer: no assortment, the LP
   bound as ``upper_bound``, priced as if that A were attained, which gives
   ``revenue_upper_bound``.
@@ -41,20 +44,71 @@ fractional-knapsack optimum dominates the LP bound and hence A(x*).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog  # noqa: F401 -- unused; the benchmark's tracer patches it
-from scipy.optimize._highspy import _core as highs
+import scipy
 
 from .heuristics import grasp, greedy  # noqa: F401 -- unused; the benchmark's tracer patches them
 from .instance import (_CAPACITY_REL_TOL, Instance, fits_capacity, is_feasible, pair_positions,
                        tie_break_prefer, validate_assortment)
 from .objective import a_value, coefficients, ratio_key, ratio_order, weight_exponents
 from .pricing import SolveResult, SolveStats, optimal_uniform_price, price_for_a
+
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs():
+    """HiGHS's extension module as scipy ships it, without importing
+    ``scipy.optimize``, whose import takes 0.3 s for a module pclopt never
+    calls.
+
+    The module is loaded from its file under scipy's install and registered
+    under its own name, so a later ``import scipy.optimize`` finds and
+    reuses it: loaded again under any name, its types are registered twice
+    and that import fails.  A module scipy has already loaded is reused.
+    ``import scipy`` runs first: it is cheap, and on some platforms it sets
+    up the library paths the extension loads from.
+    """
+    loaded = sys.modules.get(_HIGHS_MODULE)
+    if loaded is not None:
+        return loaded
+    folder = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_core" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(
+            f"scipy {scipy.__version__} at {folder} has no HiGHS extension module "
+            f"_core (looked for the suffixes {importlib.machinery.EXTENSION_SUFFIXES})"
+        )
+    spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_HIGHS_MODULE] = module
+    return module
+
+
+highs = _load_highs()
+
+
+def __getattr__(name):
+    # ``linprog`` is no longer called here, but the benchmark's tracer still
+    # wraps ``pclopt.exact.linprog`` by name; ROADMAP item 1 points that span
+    # at ``_solve_highs`` and deletes this.  Importing scipy.optimize only
+    # on first access keeps it out of pclopt's start-up.
+    if name == "linprog":
+        from scipy.optimize import linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _BRUTE_FORCE_MAX_N = 22
 _CHUNK_BITS = 16
@@ -195,12 +249,44 @@ def knapsack_majorant_bound(instance: Instance) -> float:
     return (instance.n - 1) * best
 
 
+def _lp_matrix(weights, pair_i, pair_j):
+    """The restricted LP's constraint matrix in CSC form, as the arrays
+    (data, indices, indptr) that ``scipy.sparse.csc_array`` holds for it.
+
+    Row 0 is the capacity row, ``weights`` on the n x columns; row 1 + k is
+    the pair row x_{pair_i[k]} + x_{pair_j[k]} - y_k, y_k being column
+    n + k.  Each x column holds its capacity entry, then its pair rows in
+    the order given; each y column its single -1.  Like scipy's conversion
+    from coordinates, a stable sort by column of the entries in that order
+    lays them out, and the index arrays keep the coordinates' int64.
+    """
+    n, k = weights.size, pair_i.size
+    row = np.concatenate([np.zeros(n, dtype=np.int64), np.repeat(np.arange(1, k + 1), 3)])
+    col = np.concatenate([np.arange(n),
+                          np.stack([pair_i, pair_j, n + np.arange(k)], axis=1).ravel()])
+    val = np.concatenate([weights, np.tile([1.0, 1.0, -1.0], k)])
+    order = np.argsort(col, kind="stable")
+    indptr = np.zeros(n + k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(col, minlength=n + k), out=indptr[1:])
+    return val[order], row[order], indptr
+
+
+def _transposed_product(a_ub, u) -> np.ndarray:
+    """A'u for A = a_ub in CSC form (data, indices, indptr).  Each column's
+    terms are added from 0 in storage order, as scipy's CSR mat-vec of A'
+    adds them, so the sums are scipy's ``a_ub.T @ u`` bit for bit."""
+    data, indices, indptr = a_ub
+    cols = indptr.size - 1
+    return np.bincount(np.repeat(np.arange(cols), np.diff(indptr)),
+                       weights=data * u[indices], minlength=cols)
+
+
 def _weak_duality_bound(cost, a_ub, b_ub, u, exponent) -> tuple[float, np.ndarray]:
     """(D, r), unscaled by 2^-exponent: the reduced costs r = -cost - A'u
     and D = u'b plus the positive reduced costs.  For any u >= 0, D bounds
     max -cost'z over A z <= b, 0 <= z <= 1 above, and D - max(0, r_k) +
     r_k (D - max(0, r_k)) bounds it with z_k fixed at 1 (0)."""
-    reduced = -cost - a_ub.T @ u
+    reduced = -cost - _transposed_product(a_ub, u)
     dual = np.ldexp(u @ b_ub + np.maximum(0.0, reduced).sum(), -exponent)
     return float(dual), np.ldexp(reduced, -exponent)
 
@@ -219,17 +305,23 @@ def _refined_duals(cost, a_ub, u, z) -> np.ndarray:
     rows = np.flatnonzero(u > 0.0)
     if not (basic.size and rows.size):
         return u
-    a_basic = a_ub[:, basic]
-    residual = -cost[basic] - a_basic.T @ u
-    step = np.linalg.lstsq(a_basic[rows].T.toarray(), residual, rcond=None)[0]
+    residual = -cost[basic] - _transposed_product(a_ub, u)[basic]
+    # the dense block A[rows, basic]', built from the CSC arrays
+    data, indices, indptr = a_ub
+    col = np.repeat(np.arange(z.size), np.diff(indptr))
+    keep = np.isin(col, basic) & np.isin(indices, rows)
+    block = np.zeros((basic.size, rows.size))
+    block[np.searchsorted(basic, col[keep]), np.searchsorted(rows, indices[keep])] = data[keep]
+    step = np.linalg.lstsq(block, residual, rcond=None)[0]
     refined = u.copy()
     refined[rows] = np.maximum(0.0, u[rows] + step)
     return refined
 
 
 def _solve_highs(cost, a_ub, b_ub) -> tuple[np.ndarray, np.ndarray]:
-    """min cost'z over a_ub z <= b_ub, 0 <= z <= 1, with a_ub in CSC form:
-    (z, row duals), the duals signed as linprog's ``ineqlin.marginals``.
+    """min cost'z over a_ub z <= b_ub, 0 <= z <= 1, with a_ub in CSC form
+    as the arrays (data, indices, indptr): (z, row duals), the duals signed
+    as linprog's ``ineqlin.marginals``.
 
     One HiGHS solve through scipy's bundled binding, with the options
     linprog passes, so it returns linprog's answer bit for bit without its
@@ -237,7 +329,8 @@ def _solve_highs(cost, a_ub, b_ub) -> tuple[np.ndarray, np.ndarray]:
     carries no basis between solves.  Any status but optimal raises
     RuntimeError.
     """
-    rows, cols = a_ub.shape
+    data, indices, indptr = a_ub
+    rows, cols = b_ub.size, cost.size
     lp = highs.HighsLp()
     lp.num_col_ = cols
     lp.num_row_ = rows
@@ -250,9 +343,9 @@ def _solve_highs(cost, a_ub, b_ub) -> tuple[np.ndarray, np.ndarray]:
     matrix.format_ = highs.MatrixFormat.kColwise
     matrix.num_col_ = cols
     matrix.num_row_ = rows
-    matrix.start_ = a_ub.indptr
-    matrix.index_ = a_ub.indices
-    matrix.value_ = a_ub.data
+    matrix.start_ = indptr
+    matrix.index_ = indices
+    matrix.value_ = data
     solver = highs._Highs()
     solver.passOptions(_HIGHS_OPTIONS)
     if solver.passModel(lp) == highs.HighsStatus.kError:
@@ -314,19 +407,7 @@ def lp_relaxation(instance: Instance) -> LpSolution:
         sel = np.sort(seeded[mu[seeded] < 0.0])
         k = sel.size
         cost = np.ldexp(np.concatenate([-lin_costs, -mu[sel]]), exponent)
-        row = np.concatenate(
-            [np.zeros(n, dtype=int),
-             np.repeat(np.arange(1, k + 1), 3)]
-        )
-        col = np.concatenate(
-            [np.arange(n),
-             np.stack([I[sel], J[sel], n + np.arange(k)], axis=1).ravel()]
-        ) if k else np.arange(n)
-        val = np.concatenate(
-            [np.ldexp(instance.weights, row_exponent),
-             np.tile([1.0, 1.0, -1.0], k)]
-        )
-        a_ub = sp.csc_array((val, (row, col)), shape=(1 + k, n + k))
+        a_ub = _lp_matrix(np.ldexp(instance.weights, row_exponent), I[sel], J[sel])
         b_ub = np.concatenate([[np.ldexp(instance.capacity, row_exponent)], np.ones(k)])
         z, row_dual = _solve_highs(cost, a_ub, b_ub)
         solves += 1

@@ -55,6 +55,8 @@ def test_generate_is_byte_deterministic(capsys):
     data = json.loads(out1)
     assert data["n"] == 20
     assert len(data["gamma_upper"]) == 190
+    # compact JSON: one line, the document json.dumps gives without indent
+    assert out1 == json.dumps(data) + "\n"
 
 
 def test_generate_rejects_bad_kappa(capsys):

@@ -29,7 +29,8 @@ from pclopt import (
 )
 
 import pclopt.exact
-from pclopt.exact import _fractional_knapsack, _reduced_cost_fixing, _solve_highs
+from pclopt.exact import (_fractional_knapsack, _lp_matrix, _reduced_cost_fixing, _refined_duals,
+                          _solve_highs, _transposed_product, _weak_duality_bound)
 
 from conftest import (
     assert_matches_all_pairs_lp,
@@ -226,7 +227,8 @@ def test_highs_binding_returns_linprogs_answer_bit_for_bit(data):
     assert lps
     for cost, a_ub, b_ub in lps:
         z, row_dual = _solve_highs(cost, a_ub, b_ub)
-        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs", options={
+        a_sparse = sp.csc_array(a_ub, shape=(b_ub.size, cost.size))
+        res = linprog(cost, A_ub=a_sparse, b_ub=b_ub, bounds=(0, 1), method="highs", options={
             "presolve": False,
             "primal_feasibility_tolerance": 1e-10,
             "dual_feasibility_tolerance": 1e-10,
@@ -241,9 +243,89 @@ def test_highs_binding_returns_linprogs_answer_bit_for_bit(data):
 def test_highs_binding_raises_on_an_infeasible_lp():
     # one row z_0 <= -1 under z_0 >= 0: run() itself succeeds, the model
     # status is infeasible
-    a_ub = sp.csc_array(np.array([[1.0]]))
+    a_ub = (np.array([1.0]), np.array([0]), np.array([0, 1]))
     with pytest.raises(RuntimeError, match="Infeasible"):
         _solve_highs(np.array([1.0]), a_ub, np.array([-1.0]))
+
+
+def _scipy_lp_matrix(weights, pair_i, pair_j):
+    # the restricted LP's matrix as scipy.sparse builds it from coordinates
+    n, k = weights.size, pair_i.size
+    row = np.concatenate([np.zeros(n, dtype=int), np.repeat(np.arange(1, k + 1), 3)])
+    col = np.concatenate([np.arange(n),
+                          np.stack([pair_i, pair_j, n + np.arange(k)], axis=1).ravel()])
+    val = np.concatenate([weights, np.tile([1.0, 1.0, -1.0], k)])
+    return sp.csc_array((val, (row, col)), shape=(1 + k, n + k))
+
+
+def _draw_lp_matrix(data):
+    # an instance's capacity row and a sorted subset of its pair rows, as
+    # lp_relaxation selects them
+    inst = _draw_lp_instance(data)
+    pairs = pair_count(inst.n)
+    sel = np.array(sorted(data.draw(st.sets(st.integers(0, pairs - 1), max_size=pairs))),
+                   dtype=int)
+    weights = np.ldexp(inst.weights, 1 - np.frexp(inst.weights.max())[1])
+    args = (weights, inst.pair_i[sel], inst.pair_j[sel])
+    return _lp_matrix(*args), _scipy_lp_matrix(*args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_lp_matrix_holds_scipys_csc_arrays(data):
+    a_ub, reference = _draw_lp_matrix(data)
+    for ours, theirs in zip(a_ub, (reference.data, reference.indices, reference.indptr)):
+        assert ours.dtype == theirs.dtype
+        assert np.array_equal(ours, theirs)
+
+
+def _draw_duals(data, rows):
+    # nonnegative duals over many magnitudes, a share of them 0
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    u = rng.random(rows) * 10.0 ** rng.uniform(-12, 12, rows)
+    u[rng.random(rows) < 0.3] = 0.0
+    return u
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_transposed_product_is_scipys_bit_for_bit(data):
+    a_ub, reference = _draw_lp_matrix(data)
+    u = _draw_duals(data, reference.shape[0])
+    assert np.array_equal(_transposed_product(a_ub, u), reference.T @ u)
+
+
+def _scipy_refined_duals(cost, a_ub, u, z):
+    # _refined_duals on a scipy.sparse matrix
+    basic = np.flatnonzero((z > 0.0) & (z < 1.0))
+    rows = np.flatnonzero(u > 0.0)
+    if not (basic.size and rows.size):
+        return u
+    a_basic = a_ub[:, basic]
+    residual = -cost[basic] - a_basic.T @ u
+    step = np.linalg.lstsq(a_basic[rows].T.toarray(), residual, rcond=None)[0]
+    refined = u.copy()
+    refined[rows] = np.maximum(0.0, u[rows] + step)
+    return refined
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_duals_and_bound_match_the_scipy_sparse_build_bit_for_bit(data):
+    a_ub, reference = _draw_lp_matrix(data)
+    rows, cols = reference.shape
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    cost = -rng.random(cols) * 2.0
+    b_ub = np.concatenate([[rng.random()], np.ones(rows - 1)])
+    z = rng.choice([0.0, 1.0, 0.5, 0.25], cols)
+    u = _draw_duals(data, rows)
+    refined = _refined_duals(cost, a_ub, u, z)
+    assert np.array_equal(refined, _scipy_refined_duals(cost, reference, u, z))
+    dual, reduced = _weak_duality_bound(cost, a_ub, b_ub, refined, -3)
+    scipy_reduced = -cost - reference.T @ refined
+    scipy_dual = np.ldexp(refined @ b_ub + np.maximum(0.0, scipy_reduced).sum(), 3)
+    assert dual == float(scipy_dual)
+    assert np.array_equal(reduced, np.ldexp(scipy_reduced, 3))
 
 
 @pytest.mark.parametrize("n", [400, 1000])

@@ -100,7 +100,7 @@ def test_mu_is_exactly_zero_on_an_all_unit_gamma_instance(monkeypatch):
     solve_highs = pclopt.exact._solve_highs
 
     def recording(cost, a_ub, b_ub):
-        rows.append(a_ub.shape[0])
+        rows.append(b_ub.size)
         return solve_highs(cost, a_ub, b_ub)
 
     monkeypatch.setattr(pclopt.exact, "_solve_highs", recording)
