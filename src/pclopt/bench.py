@@ -150,13 +150,10 @@ def _solve_one(task):
     record.  One root LP serves both ``lp-bound`` and ``exact``;
     ``exact_time_s`` times the search alone, from the GRASP answer and
     that LP."""
-    (n, kappa, index, master_seed, methods, beta, integer_weights,
-     grasp_config, bb_config) = task
+    cell, index, master_seed, methods, grasp_config, bb_config = task
+    n, kappa = cell.n, cell.kappa
     seed = derive_seed(master_seed, n, kappa, index)
-    instance = generate_instance(
-        GeneratorConfig(n=n, kappa=kappa, seed=seed, beta=beta,
-                        integer_weights=integer_weights)
-    )
+    instance = generate_instance(replace(cell, seed=seed))
     record = {
         "n": n,
         "kappa": kappa,
@@ -254,7 +251,10 @@ def run_experiment(
     recorded wall times vary between runs.  With an empty method set nothing
     is generated and no rows are produced.  Exact solves that exhaust their
     budget are recorded with their non-optimal status and counted in the
-    row's ``exact_budget_hits``, never silently treated as optimal.
+    row's ``exact_budget_hits``, never silently treated as optimal.  The
+    whole request is checked before the first instance: an unknown method,
+    a bad cell or solver setting, or fewer than one instance per combo
+    raises ValueError.
 
     ``progress``, if given, is called as progress(row) after each combo.
     Instances are independent, so ``jobs`` > 1 solves them in parallel;
@@ -269,7 +269,11 @@ def run_experiment(
             raise ValueError(
                 "exact solves on large instances require a node or time budget"
             )
-    # bad solver settings are refused before any instance is generated
+    if instances_per_combo < 1:
+        raise ValueError("instances_per_combo must be at least 1")
+    # bad cells and solver settings are refused before any instance is generated
+    cells = [GeneratorConfig(n=n, kappa=kappa, seed=0, beta=beta,
+                             integer_weights=integer_weights) for n, kappa in grid]
     grasp_config = GraspConfig(grasp_rcl_max, grasp_max_iter)
     bb_config = BranchBoundConfig(node_budget=node_budget, time_budget_s=time_budget_s)
     if not methods:
@@ -284,18 +288,15 @@ def run_experiment(
     rows = []
     records = []
     try:
-        for n, kappa in grid:
-            tasks = [
-                (n, kappa, index, master_seed, methods, beta, integer_weights,
-                 grasp_config, bb_config)
-                for index in range(instances_per_combo)
-            ]
+        for cell in cells:
+            tasks = [(cell, index, master_seed, methods, grasp_config, bb_config)
+                     for index in range(instances_per_combo)]
             if pool is not None:
                 combo_records = list(pool.map(_solve_one, tasks, chunksize=1))
             else:
                 combo_records = [_solve_one(task) for task in tasks]
             records.extend(combo_records)
-            row = _aggregate(n, kappa, combo_records, methods)
+            row = _aggregate(cell.n, cell.kappa, combo_records, methods)
             rows.append(row)
             if progress is not None:
                 progress(row)

@@ -35,7 +35,8 @@ Three routes to the optimum / bounds on it:
   - the products left free form a small core (in the sense of Pisinger's
     knapsack core), searched depth first with every node bounded by the
     fractional-knapsack majorant of its free products, the mu terms of
-    the fixed-in products folded in.
+    the fixed-in products folded in.  The core is small enough that each
+    fill sorts all of its free products, once, in ``ratio_order``.
 
 ``knapsack_majorant_bound`` is the root version of that bound: dropping
 the nonpositive mu terms leaves (n-1) sum theta_i x_i, whose
@@ -58,7 +59,7 @@ import scipy
 from .heuristics import grasp, greedy  # noqa: F401 -- unused; the benchmark's tracer patches them
 from .instance import (_CAPACITY_REL_TOL, Instance, fits_capacity, is_feasible, pair_positions,
                        tie_break_prefer, validate_assortment)
-from .objective import a_value, coefficients, ratio_key, ratio_order, weight_exponents
+from .objective import a_value, coefficients, ratio_order, weight_exponents
 from .pricing import SolveResult, SolveStats, optimal_uniform_price, price_for_a
 
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
@@ -112,11 +113,6 @@ def __getattr__(name):
 
 _BRUTE_FORCE_MAX_N = 22
 _CHUNK_BITS = 16
-# the knapsack fill sorts this many best-ratio items first, and 4 times as
-# many while it uses them up; the root fill at n = 1000 takes about 115
-# products, and a node of the core search has at most its core (30-66 free
-# products on the kappa = 0.04, n = 1000 instances of master seed 0)
-_KNAPSACK_CORE = 64
 # inflate majorant bounds so float noise can never put them below the optimum
 _MAJORANT_SAFETY = 1e-9
 # a relaxed value this close to 0 or 1 counts as integral
@@ -197,45 +193,32 @@ def _fractional_knapsack(values, weights, capacity, exponents=None):
     """Relaxed knapsack over [0,1] items: fill by value/weight ratio.
 
     Items with nonpositive value are left at zero.  Returns (optimum, fill)
-    with fill the fractional solution over the given items.  The fill
-    stops at its break item, so only the best-ratio items are sorted: those
-    keyed at most the 64th smallest ``ratio_key`` (ties included), a
-    prefix of ``ratio_order``, and 4 times as many while the fill uses them
-    up.  That costs O(m) plus a sort of O(fill) items.  ``exponents`` is
-    passed on to ``ratio_key``.  An overflowing optimum is inf, which
-    pricing refuses.
+    with fill the fractional solution over the given items, filled in
+    ``ratio_order``, one stable sort of every item; ``exponents`` is passed
+    on to ``ratio_key``.  The sum runs over Python floats, so an
+    overflowing optimum is a silent inf, which pricing refuses.
     """
     m = values.size
     fill = np.zeros(m)
     if m == 0 or capacity <= 0:
         return 0.0, fill
     values = np.maximum(values, 0.0)
-    key = ratio_key(values, weights, exponents)
+    order = ratio_order(values, weights, exponents)
     total = 0.0
     remaining = capacity
-    taken, size = 0, _KNAPSACK_CORE
-    while True:
-        if size < m:
-            core = np.flatnonzero(key <= np.partition(key, size - 1)[size - 1])
-            order = core[np.argsort(key[core], kind="stable")][taken:]
+    for k, value, weight in zip(order.tolist(), values[order].tolist(),
+                                weights[order].tolist()):
+        if value <= 0.0 or remaining <= 0.0:
+            break
+        if weight <= remaining:
+            fill[k] = 1.0
+            total += value
+            remaining -= weight
         else:
-            order = np.argsort(key, kind="stable")[taken:]
-        for k, value, weight in zip(order.tolist(), values[order].tolist(),
-                                    weights[order].tolist()):
-            if value <= 0.0 or remaining <= 0.0:
-                return total, fill
-            if weight <= remaining:
-                fill[k] = 1.0
-                total += value
-                remaining -= weight
-            else:
-                frac = remaining / weight
-                fill[k] = frac
-                return total + value * frac, fill
-        taken += order.size
-        if taken == m:
-            return total, fill
-        size *= 4
+            frac = remaining / weight
+            fill[k] = frac
+            return total + value * frac, fill
+    return total, fill
 
 
 def knapsack_majorant_bound(instance: Instance) -> float:
@@ -565,8 +548,8 @@ def branch_and_bound(
     products with the mu terms of ``on`` folded in.  The include-child adds
     the branching product to ``on`` and its mu row to the fold; the
     exclude-child shares its parent's ``on`` and fold, and both share one
-    ``free``.  Nothing is written in place, so a node costs O(core) plus a
-    sort of the O(fill) best-ratio free products.  A node closes when its
+    ``free``.  Nothing is written in place, so a node costs O(core) plus
+    one sort of its free products.  A node closes when its
     fixed-in products do not fit (a fixed-in set that does not fit closes
     the search at once), when its bound cannot beat the incumbent, or when
     its fill is integral, feasible and attains the majorant.

@@ -153,19 +153,16 @@ class Instance:
         if unknown:
             key = sorted(unknown)[0]
             raise ValidationError(f"unknown field {key!r}", key)
-        try:
-            capacity = float(data["capacity"])
-            beta = float(data["beta"])
-        except (TypeError, ValueError) as exc:
-            field_name = "capacity" if not _is_real(data["capacity"]) else "beta"
-            raise ValidationError(f"{field_name} must be a real number", field_name) from exc
+        for key in ("capacity", "beta"):
+            if not _is_real(data[key]):
+                raise ValidationError(f"{key} must be a real number", key)
         return cls(
             n=data["n"],
-            alpha=data["alpha"],
-            weights=data["weights"],
-            capacity=capacity,
-            beta=beta,
-            gamma_upper=data["gamma_upper"],
+            alpha=_json_array(data, "alpha"),
+            weights=_json_array(data, "weights"),
+            capacity=data["capacity"],
+            beta=data["beta"],
+            gamma_upper=_json_array(data, "gamma_upper"),
         )
 
 
@@ -173,6 +170,22 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(
         value, bool
     )
+
+
+def _json_array(data: dict, name: str) -> np.ndarray:
+    """The document's array ``name`` with the dtype numpy infers for it,
+    refused when that is string or bool: a string anywhere makes every
+    entry a string, and only booleans infer bool.  A boolean among numbers
+    infers a number and passes: checking each entry would cost several
+    times the conversion on a 499,500-entry gamma_upper list."""
+    value = data[name]
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be an array of reals", name) from exc
+    if arr.dtype.kind in "USb":
+        raise ValidationError(f"{name} must be an array of reals", name)
+    return arr
 
 
 def validate_assortment(instance: Instance, x: Iterable) -> np.ndarray:

@@ -132,10 +132,11 @@ def ratio_key(values, weights, exponents=None) -> np.ndarray:
     return (np.ldexp(values, s) if s else values) / -weights
 
 
-def ratio_order(values, weights) -> np.ndarray:
+def ratio_order(values, weights, exponents=None) -> np.ndarray:
     """Item indices by value/weight descending, ties to the smaller index:
-    the order of the knapsack fills (lin_costs) and the heuristics (theta)."""
-    return np.argsort(ratio_key(values, weights), kind="stable")
+    the order of the knapsack fills (lin_costs) and the heuristics (theta).
+    ``exponents`` is passed on to ``ratio_key``."""
+    return np.argsort(ratio_key(values, weights, exponents), kind="stable")
 
 
 def a_value(instance: Instance, x) -> float:

@@ -226,11 +226,11 @@ def reference_local_search(instance, x, max_iter, rng):
 
 
 def reference_fractional_knapsack(values, weights, capacity):
-    """The fractional knapsack as it was before it sorted only its
-    best-ratio candidates: a lexsort of every -value/weight quotient,
-    ties to the smaller index, and a fill over numpy scalars.  An oracle
-    for exact._fractional_knapsack wherever those quotients are finite and
-    normal, which must return the same (optimum, fill) bit for bit."""
+    """The fractional knapsack from first principles: a lexsort of every
+    plain -value/weight quotient, ties to the smaller index, and a fill
+    over numpy scalars.  An oracle for exact._fractional_knapsack, whose
+    ratio_key scales those quotients, wherever they are finite and normal:
+    there it must return the same (optimum, fill) bit for bit."""
     m = values.size
     fill = np.zeros(m)
     if m == 0 or capacity <= 0:

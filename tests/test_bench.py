@@ -151,6 +151,23 @@ def test_run_experiment_empty_methods_and_validation(tmp_path):
         run_experiment([(400, 0.02)], 1, ["exact"], 0, node_budget=None)
 
 
+@pytest.mark.parametrize(
+    "grid, instances",
+    [([(8, 0.2), (1, 0.5)], 2), ([(8, 0.2), (8, 0.0)], 2), ([(8, 0.2)], 0), ([(8, 0.2)], -2)],
+    ids=["late-bad-n", "late-bad-kappa", "zero-instances", "negative-instances"],
+)
+def test_run_experiment_checks_the_whole_request_before_any_work(monkeypatch, grid, instances):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instance was generated before the request was checked")
+
+    monkeypatch.setattr(pclopt.bench, "generate_instance", refuse)
+    progress = []
+    for methods in (METHODS, []):
+        with pytest.raises(ValueError):
+            run_experiment(grid, instances, methods, 0, progress=progress.append)
+    assert progress == []
+
+
 def test_run_experiment_builds_coefficients_once_per_instance(coefficient_builds):
     run_experiment([(20, 0.04)], 1, METHODS, 0)
     assert len(coefficient_builds) == 1

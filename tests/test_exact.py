@@ -381,7 +381,7 @@ def test_an_overflowing_lp_bound_fixes_nothing():
 
 @settings(max_examples=200, deadline=None)
 @given(
-    m=st.one_of(st.integers(0, 70), st.integers(60, 600)),
+    m=st.one_of(st.integers(0, 70), st.integers(60, 1000)),
     seed=st.integers(0, 2**32 - 1),
     ties=st.booleans(),
     nonpositive=st.sampled_from([0.0, 0.1, 0.5]),
@@ -389,8 +389,9 @@ def test_an_overflowing_lp_bound_fixes_nothing():
     room=st.sampled_from([-0.1, 0.0, 0.01, 0.1, 0.5, 1.2]),
 )
 def test_fractional_knapsack_matches_the_full_sort(m, seed, ties, nonpositive, scale, room):
-    # the fill sorts 64, then 256, then all items; equal ratios, zero and
-    # negative values, no room, and (at scale 1e307) sums that overflow
+    # one sort of every item, from the empty knapsack to the 1000 products
+    # of the largest root fill; equal ratios, zero and negative values, no
+    # room, and (at scale 1e307) sums that overflow
     rng = np.random.default_rng(seed)
     if ties:
         values = rng.choice([1.0, 2.0, 3.0, 4.0], m) * scale

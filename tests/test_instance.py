@@ -50,6 +50,16 @@ def test_gamma_lookup_is_symmetric():
         ({"gamma_upper": [0.0]}, "gamma_upper[0]"),
         ({"gamma_upper": [1.5]}, "gamma_upper[0]"),
         ({"gamma_upper": [0.5, 0.5]}, "gamma_upper"),
+        # JSON strings and booleans where the schema has numbers
+        ({"capacity": "5"}, "capacity"),
+        ({"capacity": True}, "capacity"),
+        ({"beta": "0.1"}, "beta"),
+        ({"beta": True}, "beta"),
+        ({"alpha": ["0.5", "0.5"]}, "alpha"),
+        ({"alpha": [0.5, "0.5"]}, "alpha"),
+        ({"weights": [True, True]}, "weights"),
+        ({"gamma_upper": ["0.5"]}, "gamma_upper"),
+        ({"gamma_upper": [False]}, "gamma_upper"),
     ],
 )
 def test_validation_errors_carry_field_paths(patch, path):
