@@ -270,10 +270,14 @@ def run_experiment(
                 "exact solves on large instances require a node or time budget"
             )
     if instances_per_combo < 1:
-        raise ValueError("instances_per_combo must be at least 1")
+        raise ValueError("at least one instance per combo is required")
     # bad cells and solver settings are refused before any instance is generated
-    cells = [GeneratorConfig(n=n, kappa=kappa, seed=0, beta=beta,
-                             integer_weights=integer_weights) for n, kappa in grid]
+    cells = []
+    for n, kappa in grid:
+        try:
+            cells.append(GeneratorConfig(n, kappa, 0, beta, integer_weights))
+        except ValueError as exc:  # named as the grid entry n:kappa
+            raise ValueError(f"grid entry {n}:{kappa:g}: {exc}") from exc
     grasp_config = GraspConfig(grasp_rcl_max, grasp_max_iter)
     bb_config = BranchBoundConfig(node_budget=node_budget, time_budget_s=time_budget_s)
     if not methods:

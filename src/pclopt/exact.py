@@ -576,13 +576,12 @@ def branch_and_bound(
     fixed_in, fixed_out = _reduced_cost_fixing(lp, inc_a)
     fixed = np.flatnonzero(fixed_in)
     core = np.flatnonzero(~(fixed_in | fixed_out))
-    mu_mat = coeffs.mu_matrix(n)
-    mu_core = mu_mat[np.ix_(core, core)]
-    lin_core = coeffs.lin_costs[core] + mu_mat[np.ix_(core, fixed)].sum(axis=1)
+    mu_core = coeffs.mu_matrix(n, core, core)
+    lin_core = coeffs.lin_costs[core] + coeffs.mu_matrix(n, core, fixed).sum(axis=1)
     w_core = weights[core]
     weight_in = float(weights[fixed].sum())
     value_in = (float(coeffs.lin_costs[fixed].sum())
-                + 0.5 * float(mu_mat[np.ix_(fixed, fixed)].sum()))
+                + 0.5 * float(coeffs.mu_matrix(n, fixed, fixed).sum()))
 
     stats = SolveStats(lp_solves=lp.lp_solves, fixed_in=fixed.size,
                        fixed_out=int(np.count_nonzero(fixed_out)))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import _CAPACITY_REL_TOL, Instance, fits_capacity, tie_break_prefer
+from .instance import _CAPACITY_REL_TOL, Instance, fits_capacity, pair_index, tie_break_prefer
 from .objective import a_value, coefficients, ratio_order
 from .pricing import SolveResult, SolveStats, optimal_uniform_price
 
@@ -120,10 +120,11 @@ def _construct(instance, order, rcl, rng):
 def _add_gain(instance, offered):
     """gain[k] = A(x + e_k) - A(x) for k outside the offered set S and
     A(x) - A(x - e_k) for k in it: (n-1) theta_k plus k's mu entries
-    against S (mu's diagonal is zero).  Summing |S| rows keeps this
-    O(|S| n); a mat-vec over all n rows is slower at n = 1000."""
+    against S (mu's diagonal is zero).  Summing the |S| rows of one
+    gathered block keeps this O(|S| n)."""
     coeffs = coefficients(instance)
-    return coeffs.lin_costs + coeffs.mu_matrix(instance.n)[offered].sum(axis=0)
+    n = instance.n
+    return coeffs.lin_costs + coeffs.mu_matrix(n, offered, np.arange(n)).sum(axis=0)
 
 
 def _local_search(instance, x, max_iter, rng):
@@ -131,11 +132,12 @@ def _local_search(instance, x, max_iter, rng):
     both, keep the move iff it is feasible and strictly increases A.
 
     A trial costs O(1): with the add gain carried across trials, the swap
-    changes A by gain[inc] - (gain[out] + mu[out, inc]).  An accepted swap
-    costs O(n): it adds mu[inc] - mu[out] to the gain and rebuilds the
-    ascending offered and unoffered index arrays.  Swaps keep |S|, so all
-    trials' draws come from one RNG call, the same stream as one
-    integers(|S|) and one integers(n - |S|) call per trial.
+    changes A by gain[inc] - (gain[out] + mu[out, inc]), one pair entry.
+    An accepted swap costs O(n): it adds mu[inc] - mu[out], two rows
+    gathered as one block, to the gain and rebuilds the ascending offered
+    and unoffered index arrays.  Swaps keep |S|, so all trials' draws come
+    from one RNG call, the same stream as one integers(|S|) and one
+    integers(n - |S|) call per trial.
     """
     x = x.copy()
     ones, zeros = np.flatnonzero(x), np.flatnonzero(x == 0)
@@ -148,7 +150,8 @@ def _local_search(instance, x, max_iter, rng):
         trial[out], trial[inc] = 0, 1
         return trial
 
-    mu_mat = coefficients(instance).mu_matrix(instance.n)
+    n = instance.n
+    coeffs = coefficients(instance)
     gain = _add_gain(instance, ones)
     current_weight = float(instance.weights @ x.astype(float))
     current_a = a_value(instance, x)
@@ -158,10 +161,10 @@ def _local_search(instance, x, max_iter, rng):
         out, inc = ones[i], zeros[j]
         if not fits_capacity(instance, current_weight - weights[out] + weights[inc], swapped):
             continue
-        delta = gain[inc] - (gain[out] + mu_mat[out, inc])
+        delta = gain[inc] - (gain[out] + coeffs.mu[pair_index(n, out, inc)])
         if delta > _IMPROVE_TOL * current_a:
             x[out], x[inc] = 0, 1
-            gain += mu_mat[inc] - mu_mat[out]
+            gain += np.subtract(*coeffs.mu_matrix(n, [inc, out], np.arange(n)))
             ones, zeros = np.flatnonzero(x), np.flatnonzero(x == 0)
             current_weight += weights[inc] - weights[out]
             current_a += delta

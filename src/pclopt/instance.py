@@ -42,13 +42,17 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
+def pair_position(n: int, i, j):
+    """Storage position i*n - i*(i+1)/2 + (j - i - 1) of pair (i, j), i < j,
+    elementwise; at i == j it is still an index, -1 up to pair_count - 1."""
+    return i * (2 * n - 3 - i) // 2 + j - 1
+
+
 def pair_index(n: int, i: int, j: int) -> int:
     """Position of unordered pair {i, j} in the upper-triangular layout."""
     if i == j:
         raise ValueError("pair requires two distinct products")
-    if i > j:
-        i, j = j, i
-    return i * n - i * (i + 1) // 2 + (j - i - 1)
+    return int(pair_position(n, min(i, j), max(i, j)))
 
 
 def pair_members(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -62,15 +66,38 @@ def pair_positions(products: np.ndarray, n: int):
     the m products given."""
     a, b = np.nonzero(np.less.outer(products, products))
     i, j = products[a], products[b]
-    # i*n - i*(i+1)/2 + (j - i - 1), in fewer array operations
-    return i * (2 * n - 3 - i) // 2 + j - 1, i, j
+    return pair_position(n, i, j), i, j
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _as_real(value, name: str) -> float:
+    """A real scalar as a float; strings, booleans and ints beyond the float range are refused."""
+    if not _is_real(value):
+        raise ValidationError(f"{name} must be a real number", name)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValidationError(f"{name} is beyond the float range", name) from exc
 
 
 def _as_float_array(value, name: str, length: int | None = None) -> np.ndarray:
+    """``value`` as a float vector, converted once from the dtype numpy
+    infers, which must be integer or float (a string anywhere infers
+    string, and only booleans infer bool), with every entry in the float
+    range.  Entries are checked one by one only where numpy infers objects
+    (an int beyond int64): a boolean among numbers passes, as checking each
+    entry of a 499,500-entry gamma_upper costs several times its conversion."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be an array of reals", name) from exc
+        arr = np.asarray(value)
+        kind = arr.dtype.kind
+        if not (kind in "iuf" or kind == "O" and all(map(_is_real, arr.flat))):
+            raise TypeError(f"an array of dtype kind {kind!r} holds no reals")
+        arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} must be an array of reals in the float range", name) from exc
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional", name)
     if length is not None and arr.shape[0] != length:
@@ -109,10 +136,10 @@ class Instance:
         if np.any(self.weights <= 0):
             bad = int(np.flatnonzero(self.weights <= 0)[0])
             raise ValidationError("weights must be positive", f"weights[{bad}]")
-        self.capacity = float(self.capacity)
+        self.capacity = _as_real(self.capacity, "capacity")
         if not np.isfinite(self.capacity) or self.capacity <= 0:
             raise ValidationError("capacity must be positive", "capacity")
-        self.beta = float(self.beta)
+        self.beta = _as_real(self.beta, "beta")
         if not np.isfinite(self.beta) or self.beta <= 0:
             raise ValidationError("beta must be positive", "beta")
         self.gamma_upper = _as_float_array(
@@ -153,39 +180,7 @@ class Instance:
         if unknown:
             key = sorted(unknown)[0]
             raise ValidationError(f"unknown field {key!r}", key)
-        for key in ("capacity", "beta"):
-            if not _is_real(data[key]):
-                raise ValidationError(f"{key} must be a real number", key)
-        return cls(
-            n=data["n"],
-            alpha=_json_array(data, "alpha"),
-            weights=_json_array(data, "weights"),
-            capacity=data["capacity"],
-            beta=data["beta"],
-            gamma_upper=_json_array(data, "gamma_upper"),
-        )
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(
-        value, bool
-    )
-
-
-def _json_array(data: dict, name: str) -> np.ndarray:
-    """The document's array ``name`` with the dtype numpy infers for it,
-    refused when that is string or bool: a string anywhere makes every
-    entry a string, and only booleans infer bool.  A boolean among numbers
-    infers a number and passes: checking each entry would cost several
-    times the conversion on a 499,500-entry gamma_upper list."""
-    value = data[name]
-    try:
-        arr = np.asarray(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be an array of reals", name) from exc
-    if arr.dtype.kind in "USb":
-        raise ValidationError(f"{name} must be an array of reals", name)
-    return arr
+        return cls(**data)
 
 
 def validate_assortment(instance: Instance, x: Iterable) -> np.ndarray:
@@ -202,7 +197,10 @@ def validate_assortment(instance: Instance, x: Iterable) -> np.ndarray:
 
 
 def validate_prices(instance: Instance, p: Iterable) -> np.ndarray:
-    """Coerce p to a nonnegative float vector of length n."""
+    """Coerce p to a nonnegative float vector of length n.  A boolean among
+    numbers is refused: n entries are cheap to check one by one."""
+    if isinstance(p, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in p):
+        raise ValidationError("prices must be an array of reals", "prices")
     arr = _as_float_array(p, "prices", instance.n)
     if np.any(arr < 0):
         bad = int(np.flatnonzero(arr < 0)[0])

@@ -28,12 +28,12 @@ them on it; every solver, bound and heuristic reads them from there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .choice import log_nest_value
-from .instance import Instance, pair_positions, validate_assortment
+from .instance import Instance, pair_position, pair_positions, validate_assortment
 
 # ratio_key orders exactly every value down to 2^-_RATIO_KEY_BITS of the
 # largest; the ratios of smaller ones may tie or misorder among themselves,
@@ -44,14 +44,14 @@ _RATIO_KEY_BITS = 64
 @dataclass
 class LinearizedCoefficients:
     """theta per product, mu = rho - theta_i - theta_j per pair, and
-    lin_costs = (n-1) theta, the regrouped linear part of the program."""
+    lin_costs = (n-1) theta, the regrouped linear part of the program.
+
+    mu is held once, in the instance's pair storage order; ``mu_matrix``
+    gathers the dense blocks that the searches read from it."""
 
     theta: np.ndarray
     mu: np.ndarray
     lin_costs: np.ndarray
-    _mu_matrix: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @classmethod
     def from_instance(cls, instance: Instance) -> "LinearizedCoefficients":
@@ -69,22 +69,14 @@ class LinearizedCoefficients:
             raise OverflowError(f"exp({max(instance.alpha):g}) overflows the float range")
         return cls(theta=theta, mu=mu, lin_costs=lin_costs)
 
-    def mu_matrix(self, n: int) -> np.ndarray:
-        """Dense symmetric mu with zero diagonal, built on first use.
-
-        Row i's pairs (i, j > i) are one slice of the storage order, so the
-        matrix is filled a row and a column per product: no pair index
-        arrays, whose 8 MB at n = 1000 were the solve's memory peak."""
-        if self._mu_matrix is None:
-            mat = np.zeros((n, n))
-            start = 0
-            for i in range(n - 1):
-                row = self.mu[start:start + n - 1 - i]
-                mat[i, i + 1:] = row
-                mat[i + 1:, i] = row
-                start += n - 1 - i
-            self._mu_matrix = mat
-        return self._mu_matrix
+    def mu_matrix(self, n: int, rows, cols) -> np.ndarray:
+        """The block mu[rows][:, cols] of the symmetric mu matrix with zero
+        diagonal, gathered from the pair storage; nothing is cached."""
+        rows, cols = np.asarray(rows, np.intp)[:, None], np.asarray(cols, np.intp)[None, :]
+        lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+        block = self.mu[pair_position(n, lo, hi)]
+        block[lo == hi] = 0.0
+        return block
 
 
 def coefficients(instance: Instance) -> LinearizedCoefficients:

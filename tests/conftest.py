@@ -11,6 +11,7 @@ from pclopt import (
     generate_instance,
     is_feasible,
     pair_count,
+    pair_members,
     validate_assortment,
 )
 from pclopt.choice import log_nest_value
@@ -181,6 +182,19 @@ def random_feasible_assortment(instance, rng) -> np.ndarray:
     return x
 
 
+def dense_mu(instance):
+    """The symmetric n x n mu matrix with zero diagonal, scattered from the
+    coefficients over pair_members: the reference the mu blocks and the
+    swap bookkeeping are checked against."""
+    n = instance.n
+    I, J = pair_members(n)
+    mu = coefficients(instance).mu
+    mat = np.zeros((n, n))
+    mat[I, J] = mu
+    mat[J, I] = mu
+    return mat
+
+
 def reference_local_search(instance, x, max_iter, rng):
     """GRASP's swap local search as it was before the add gain was carried:
     two scalar draws per trial, and each trial's A change as two O(n)
@@ -189,7 +203,7 @@ def reference_local_search(instance, x, max_iter, rng):
     An oracle for heuristics._local_search, which must accept the same
     swaps from the same stream."""
     coeffs = coefficients(instance)
-    mu_mat = coeffs.mu_matrix(instance.n)
+    mu_mat = dense_mu(instance)
     weights = instance.weights
     x = x.copy()
     current_weight = float(weights @ x.astype(float))

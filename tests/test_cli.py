@@ -224,21 +224,24 @@ def test_bench_refuses_a_bad_config_before_generating(capsys, monkeypatch, flags
 
 
 @pytest.mark.parametrize(
-    "flags",
-    [["--grid", "6:0.2,1:0.5", "--instances", "2"],
-     ["--grid", "6:0.2,8:1.5", "--instances", "2"],
-     ["--grid", "6:0.2", "--instances", "0"],
-     ["--grid", "6:0.2", "--instances", "-2"]],
+    "flags, named",
+    [(["--grid", "6:0.2,1:0.5", "--instances", "2"], "1:0.5"),
+     (["--grid", "6:0.2,8:1.5", "--instances", "2"], "8:1.5"),
+     (["--grid", "6:0.2", "--instances", "0"], "instance"),
+     (["--grid", "6:0.2", "--instances", "-2"], "instance")],
     ids=["late-bad-n", "late-bad-kappa", "zero-instances", "negative-instances"],
 )
 def test_bench_refuses_a_bad_request_with_one_envelope_and_no_progress(
-        capsys, monkeypatch, flags):
+        capsys, monkeypatch, flags, named):
     monkeypatch.setattr(pclopt.bench, "generate_instance", _refuse_work)
     code, out, err = run_cli(["bench", *flags], capsys)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert json.loads(err)["code"] == "bad-arguments"
+    envelope = json.loads(err)
+    assert envelope["code"] == "bad-arguments"
+    # the message names what was typed, not a Python parameter
+    assert named in envelope["message"] and "instances_per_combo" not in envelope["message"]
 
 
 def test_solve_takes_a_zero_budget(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -621,6 +622,23 @@ def test_branch_and_bound_search_is_pinned(cell, expected):
     assert np.flatnonzero(result.assortment).tolist() == offered
     assert result.a_value == a_value_expected
     assert result.upper_bound == pytest.approx(upper_expected, rel=1e-12, abs=0.0)
+
+
+def test_grasp_and_search_never_hold_a_dense_mu():
+    # mu lives in pair storage; the searches gather blocks of it, so their
+    # peak stays below one n x n float matrix (the root LP's arrays are not
+    # theirs, and are built before)
+    n = 400
+    inst = generate_instance(GeneratorConfig(n, 0.04, derive_seed(0, n, 0.04, 0)))
+    root_lp = lp_relaxation(inst)
+    tracemalloc.start()
+    try:
+        seeded = grasp(inst)
+        branch_and_bound(inst, BranchBoundConfig(node_budget=2000), seeded.assortment, root_lp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
 
 
 @settings(max_examples=150, deadline=None)

@@ -60,6 +60,13 @@ def test_gamma_lookup_is_symmetric():
         ({"weights": [True, True]}, "weights"),
         ({"gamma_upper": ["0.5"]}, "gamma_upper"),
         ({"gamma_upper": [False]}, "gamma_upper"),
+        # JSON integers beyond the float range
+        ({"capacity": 10**400}, "capacity"),
+        ({"beta": -(10**400)}, "beta"),
+        ({"alpha": [10**400, 0.0]}, "alpha"),
+        ({"weights": [1.0, 10**400]}, "weights"),
+        # an integer beyond int64 makes numpy infer objects, checked one by one
+        ({"alpha": [10**30, "0.5"]}, "alpha"),
     ],
 )
 def test_validation_errors_carry_field_paths(patch, path):
@@ -118,6 +125,14 @@ def test_assortment_and_price_validation():
         validate_assortment(inst, [1, 0, 0])
     with pytest.raises(ValidationError):
         validate_prices(inst, [1.0, -2.0])
+    # JSON strings and booleans where prices are numbers
+    for prices in (["12", "12"], ["12", 12.0], [True, 12], [12.0, False], [True, True]):
+        with pytest.raises(ValidationError) as err:
+            validate_prices(inst, prices)
+        assert err.value.path == "prices"
+    with pytest.raises(ValidationError) as err:
+        validate_prices(inst, [10**400, 1.0])
+    assert err.value.path == "prices"
 
 
 @pytest.mark.parametrize(

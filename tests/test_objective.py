@@ -15,13 +15,13 @@ from pclopt import (
     knapsack_majorant_bound,
     lp_relaxation,
     pair_count,
-    pair_members,
 )
 
 from pclopt.heuristics import _add_gain
 from pclopt.objective import ratio_order
 
-from conftest import pair_sum_a, random_feasible_assortment, random_instance, toy_instance
+from conftest import (dense_mu, pair_sum_a, random_feasible_assortment, random_instance,
+                      toy_instance)
 
 
 def test_a_value_hand_cases():
@@ -130,14 +130,25 @@ def _flipped(x, *products):
 
 @pytest.mark.parametrize("n", [2, 3, 7, 40])
 def test_mu_matrix_scatters_every_pair_both_ways(n):
-    # the reference scatter over the pair index arrays
+    # blocks over random row and column sets against the reference scatter
+    # over the pair index arrays, mu's diagonal zero
     inst = random_instance(n + 500, n=n)
     coeffs = coefficients(inst)
-    I, J = pair_members(n)
-    expected = np.zeros((n, n))
-    expected[I, J] = coeffs.mu
-    expected[J, I] = coeffs.mu
-    assert np.array_equal(coeffs.mu_matrix(n), expected)
+    expected = dense_mu(inst)
+    rng = np.random.default_rng(n)
+    empty = np.array([], dtype=np.intp)
+    everything = np.arange(n)
+    sets = [(empty, everything), (everything, empty), (empty, empty),
+            (everything, everything), ([n - 1, 0], [0, n - 1])]
+    for _ in range(20):
+        rows = rng.choice(n, rng.integers(1, n + 1), replace=False)
+        cols = rng.choice(n, rng.integers(1, n + 1), replace=False)
+        sets += [(rows, cols), (rows, rows)]
+    for rows, cols in sets:
+        block = coeffs.mu_matrix(n, rows, cols)
+        assert block.shape == (len(rows), len(cols))
+        assert np.array_equal(block, expected[np.ix_(rows, cols)])
+    assert not coeffs.mu_matrix(n, everything, everything).diagonal().any()
 
 
 def test_swap_delta_matches_full_recomputation():
@@ -146,7 +157,7 @@ def test_swap_delta_matches_full_recomputation():
     rng = np.random.default_rng(1)
     for seed in range(20):
         inst = random_instance(seed + 200)
-        mu_mat = coefficients(inst).mu_matrix(inst.n)
+        mu_mat = dense_mu(inst)
         x = (rng.random(inst.n) < 0.5).astype(np.int8)
         ones, zeros = np.flatnonzero(x), np.flatnonzero(x == 0)
         if ones.size == 0 or zeros.size == 0:
@@ -169,7 +180,7 @@ def test_carried_gain_matches_a_fresh_build():
     for seed in range(10):
         inst = random_instance(seed + 400, n=40)
         coeffs = coefficients(inst)
-        mu_mat = coeffs.mu_matrix(inst.n)
+        mu_mat = dense_mu(inst)
         x = random_feasible_assortment(inst, rng)
         if not 0 < x.sum() < inst.n:
             continue
