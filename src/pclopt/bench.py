@@ -203,29 +203,31 @@ def _solve_one(task):
     return record
 
 
+# the report's column stems: each is the mean and maximum of one record key,
+# shown when its method was requested (GRASP's time is also recorded when
+# it only seeds exact); a time stem prints to 0.1, a gap stem to 0.01
+_COLUMNS = (
+    ("exact_time", "exact_time_s", "exact"),
+    ("ub_time", "lp_time_s", "lp-bound"),
+    ("greedy_time", "greedy_time_s", "greedy"),
+    ("grasp_time", "grasp_time_s", "grasp"),
+    ("exact_gap", "gap_exact_pct", "exact"),
+    ("greedy_gap", "gap_greedy_pct", "greedy"),
+    ("grasp_gap", "gap_grasp_pct", "grasp"),
+)
+
+
 def _aggregate(n, kappa, records, methods) -> ExperimentRow:
     row = ExperimentRow(n=n, kappa=kappa, instance_count=len(records))
-
-    def stats(key):
+    for stem, key, method in _COLUMNS:
         values = [r[key] for r in records if key in r]
-        if not values:
-            return None, None
-        return float(np.mean(values)), float(np.max(values))
-
+        if method in methods and values:
+            setattr(row, f"{stem}_avg", float(np.mean(values)))
+            setattr(row, f"{stem}_max", float(np.max(values)))
     if "exact" in methods:
-        row.exact_time_avg, row.exact_time_max = stats("exact_time_s")
         row.exact_budget_hits = sum(
             1 for r in records if r.get("exact_status") not in (None, "optimal")
         )
-    if "lp-bound" in methods:
-        row.ub_time_avg, row.ub_time_max = stats("lp_time_s")
-    if "greedy" in methods:
-        row.greedy_time_avg, row.greedy_time_max = stats("greedy_time_s")
-    if "grasp" in methods:
-        row.grasp_time_avg, row.grasp_time_max = stats("grasp_time_s")
-    row.exact_gap_avg, row.exact_gap_max = stats("gap_exact_pct")
-    row.greedy_gap_avg, row.greedy_gap_max = stats("gap_greedy_pct")
-    row.grasp_gap_avg, row.grasp_gap_max = stats("gap_grasp_pct")
     return row
 
 
@@ -315,15 +317,8 @@ def run_experiment(
     return rows
 
 
-_CSV_COLUMNS = [
-    ("exact_time_avg", "%.1f"), ("exact_time_max", "%.1f"),
-    ("ub_time_avg", "%.1f"), ("ub_time_max", "%.1f"),
-    ("greedy_time_avg", "%.1f"), ("greedy_time_max", "%.1f"),
-    ("grasp_time_avg", "%.1f"), ("grasp_time_max", "%.1f"),
-    ("exact_gap_avg", "%.2f"), ("exact_gap_max", "%.2f"),
-    ("greedy_gap_avg", "%.2f"), ("greedy_gap_max", "%.2f"),
-    ("grasp_gap_avg", "%.2f"), ("grasp_gap_max", "%.2f"),
-]
+_CSV_COLUMNS = [(f"{stem}_{stat}", "%.1f" if "time" in stem else "%.2f")
+                for stem, _, _ in _COLUMNS for stat in ("avg", "max")]
 _HEADER = ["combo"] + [name for name, _ in _CSV_COLUMNS]
 
 

@@ -8,7 +8,9 @@ offered products:
 
 where W is the principal Lambert-W branch (the inverse of w -> w e^w)
 restricted to the nonnegative ray, which is all this problem needs since
-A(x) >= 0.  ``price_for_a`` evaluates this formula for every solver answer.
+A(x) >= 0.  ``lambert_w0`` computes W to about 1e-14 relative over the
+whole float range, and ``price_for_a`` evaluates this formula for every
+solver answer.
 
 Every solver answers with a ``SolveResult``: an assortment (or only a
 bound on A) priced through ``price_for_a``.  The type lives here, in the
@@ -27,18 +29,18 @@ from .objective import a_value
 
 _RESIDUAL_TOL = 1e-14
 _MAX_ITER = 50
-# the Halley step's e^w (w + 1) overflows from about y = 3.7e302 (leaving w
-# stuck at its start); above this y the log form is solved instead
-_LOG_SPACE_MIN_Y = 1e300
 
 
 def lambert_w0(y: float) -> float:
     """Principal-branch Lambert W on y >= 0: the w >= 0 with w e^w = y.
 
-    Halley iteration from w0 = log(1 + y); converges to residual
-    |w e^w - y| <= 1e-14 max(1, y) in a handful of steps.  Above y = 1e300,
-    where that step nears float overflow, Newton's method solves the log
-    form w + log w = log y instead.  y = inf raises OverflowError.
+    Newton's method on the log form w + log w = log y, which stays finite
+    from the smallest subnormal to the float maximum, started from
+    w0 = log(1 + y).  That start is at least W(y) and less than e y, and
+    the log form is concave in w, so the first step lands in (0, W(y)] and
+    the iterates rise from there to W(y).  They stop once a step is within
+    1e-14 of w: at most 5 steps from y = 5e-324 to the float maximum.
+    y = inf raises OverflowError.
     """
     y = float(y)
     if math.isnan(y) or y < 0:
@@ -47,22 +49,13 @@ def lambert_w0(y: float) -> float:
         raise OverflowError("the A(x) being priced overflows the float range")
     if y == 0.0:
         return 0.0
-    if y > _LOG_SPACE_MIN_Y:
-        log_y = math.log(y)
-        w = log_y - math.log(log_y)
-        for _ in range(_MAX_ITER):
-            step = (w + math.log(w) - log_y) * w / (w + 1.0)
-            w -= step
-            if abs(step) <= _RESIDUAL_TOL * w:
-                break
-        return w
+    log_y = math.log(y)
     w = math.log1p(y)
     for _ in range(_MAX_ITER):
-        ew = math.exp(w)
-        f = w * ew - y
-        if abs(f) <= _RESIDUAL_TOL * max(1.0, y):
+        step = (w + math.log(w) - log_y) * w / (w + 1.0)
+        w -= step
+        if abs(step) <= _RESIDUAL_TOL * w:
             break
-        w -= f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * (w + 1.0)))
     return w
 
 

@@ -323,6 +323,17 @@ def test_lp_bound_is_at_least_the_optimum(tmp_path, capsys, alpha):
     assert bound >= optimum * (1.0 - 1e-12)
 
 
+def test_exact_revenue_at_a_tiny_a_solves_the_price_equation(tmp_path, capsys):
+    # A = 3.14e-7: a Lambert-W start value returned unchanged priced this 5.8e-8 too high
+    path = write_huge_instance(tmp_path, alpha=-17.3)
+    code, out, _ = run_cli(["solve", "--instance", str(path), "--method", "exact"], capsys)
+    assert code == 0
+    result = json.loads(out)
+    w, y = 0.1 * result["revenue"], result["a_value"] / math.e
+    assert y < 4e-7
+    assert abs(w * math.exp(w) - y) <= 1e-13 * y
+
+
 @pytest.mark.parametrize("method", ["exact", "greedy", "brute-force"])
 def test_overflowing_alpha_gets_a_finite_answer(tmp_path, capsys, method):
     path = write_huge_instance(tmp_path)
@@ -440,6 +451,19 @@ def test_solve_budget_exhaustion_is_not_an_error(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["status"] == "feasible"
+
+
+def test_solve_stops_on_the_time_budget_alone(tmp_path, capsys):
+    path = write_instance(tmp_path, capsys, n=16, kappa=0.4)
+    code, out, _ = run_cli(
+        ["solve", "--instance", str(path), "--method", "exact", "--budget-seconds", "0"],
+        capsys,
+    )
+    assert code == 0
+    result = json.loads(out)
+    assert result["status"] == "feasible" and result["stats"]["nodes"] == 0
+    _, out, _ = run_cli(["solve", "--instance", str(path), "--method", "lp-bound"], capsys)
+    assert result["a_value"] <= result["upper_bound"] <= json.loads(out)["upper_bound"]
 
 
 def test_solve_brute_force_guard(tmp_path, capsys):

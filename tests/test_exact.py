@@ -495,6 +495,14 @@ def test_branch_and_bound_budget_exhaustion():
     assert result.a_value >= seeded.a_value
 
 
+def test_branch_and_bound_stops_on_the_time_budget_alone():
+    inst = random_instance(99, n=14, kappa=0.4)
+    lp = lp_relaxation(inst)
+    result = branch_and_bound(inst, BranchBoundConfig(time_budget_s=0.0), root_lp=lp)
+    assert result.status == "feasible" and result.stats.nodes == 0
+    assert result.a_value <= result.upper_bound <= lp.objective_value
+
+
 def test_branch_and_bound_incumbent_never_below_heuristics():
     for seed in range(8):
         inst = random_instance(seed + 800)

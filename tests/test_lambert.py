@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import lambertw as scipy_lambertw
@@ -31,6 +32,19 @@ def test_log_form_residual_near_float_max():
         w = lambert_w0(float(y))
         assert math.isfinite(w) and w > 0.0
         assert abs(w + math.log(w) - math.log(y)) <= 1e-14 * math.log(y)
+
+
+def test_relative_error_against_mpmath_over_the_float_range():
+    # the residual |w e^w - y| is absolute below y = 1, where it hid a start value
+    # returned unchanged (relative error y/2, 7.06e-8 at y = 1.412e-7)
+    float_max = 1.7976931348623157e308
+    ys = [5e-324, 1e-300, 1.412e-7, 1.0 / math.e, float_max]
+    ys += [float(y) for y in np.logspace(-320, 308, 1000)]
+    with mpmath.workdps(40):
+        for y in ys:
+            w = lambert_w0(y)
+            exact = mpmath.lambertw(mpmath.mpf(y)).real
+            assert abs(float((w - exact) / exact)) <= 1e-13, y
 
 
 def test_matches_reference_implementation():
