@@ -36,7 +36,9 @@ Three routes to the optimum / bounds on it:
     knapsack core), searched depth first with every node bounded by the
     fractional-knapsack majorant of its free products, the mu terms of
     the fixed-in products folded in.  The core is small enough that each
-    fill sorts all of its free products, once, in ``ratio_order``.
+    fill sorts all of its free products, once, in ``ratio_order``;
+  - each time the search raises the incumbent, the same certificate fixes
+    core products against the new A at every node popped after.
 
 ``knapsack_majorant_bound`` is the root version of that bound: dropping
 the nonpositive mu terms leaves (n-1) sum theta_i x_i, whose
@@ -117,9 +119,6 @@ _CHUNK_BITS = 16
 _MAJORANT_SAFETY = 1e-9
 # a relaxed value this close to 0 or 1 counts as integral
 _INTEGRALITY_TOL = 1e-6
-# close a subtree whose integral fill attains its majorant to this relative
-# slack; a tied assortment inside it is not searched for
-_ATTAIN_REL_TOL = 1e-9
 # prune a node only when its majorant falls below the incumbent by more than
 # this relative slack, so a subtree that ties the incumbent to rounding is
 # searched for an assortment tie_break_prefer ranks first.  Relative,
@@ -513,17 +512,19 @@ def brute_force_oracle(instance: Instance) -> SolveResult:
     )
 
 
-def _reduced_cost_fixing(lp: LpSolution, inc_a: float) -> tuple[np.ndarray, np.ndarray]:
-    """(fixed_in, fixed_out) masks: the products whose certificate bound
-    with them out (in) falls below the incumbent's A by more than the tie
-    slack, so every assortment tied with the incumbent keeps its freedom.
-    Both bounds are weak duality for any duals u >= 0, so an inaccurate LP
-    solve fixes nothing wrongly; a product fixed both ways is fixed in."""
+def _reduced_cost_fixing(dual_bound: float, reduced_costs: np.ndarray,
+                         inc_a: float) -> tuple[np.ndarray, np.ndarray]:
+    """(fixed_in, fixed_out) masks over ``reduced_costs``: the products
+    whose certificate bound with them out (in), D - max(0, r_k) (+ r_k),
+    falls below the incumbent's A by more than the tie slack, so every
+    assortment tied with the incumbent keeps its freedom.  Both bounds are
+    weak duality for any duals u >= 0, so an inaccurate LP solve fixes
+    nothing wrongly; a product fixed both ways is fixed in."""
     threshold = inc_a * (1 - _TIE_REL_TOL)
     with np.errstate(invalid="ignore"):  # an infinite D fixes nothing
-        without = lp.dual_bound - np.maximum(0.0, lp.reduced_costs)
+        without = dual_bound - np.maximum(0.0, reduced_costs)
         fixed_in = without < threshold
-        return fixed_in, ~fixed_in & (without + lp.reduced_costs < threshold)
+        return fixed_in, ~fixed_in & (without + reduced_costs < threshold)
 
 
 def branch_and_bound(
@@ -536,7 +537,12 @@ def branch_and_bound(
     GRASP's answer) or else from the empty one, and from ``root_lp``, the
     instance's ``lp_relaxation``, which it solves itself when not given.
     The LP's certificate fixes products in and out against the incumbent
-    (``_reduced_cost_fixing``); the rest, the core, are searched.
+    (``_reduced_cost_fixing``); the rest, the core, are searched.  Each
+    time the incumbent's A rises, the same rule runs on the core's reduced
+    costs, and every node popped after drops the products it fixes out
+    from ``free`` and moves the free ones it fixes in to ``on``.  Both
+    bounds are weak duality for the root duals, so they hold in every
+    subtree, and the tie slack keeps every tied assortment free.
 
     Depth-first search over the core, branching on the fractional product
     of the node's knapsack fill (include-branch explored first).  The core
@@ -551,14 +557,16 @@ def branch_and_bound(
     ``free``.  Nothing is written in place, so a node costs O(core) plus
     one sort of its free products.  A node closes when its
     fixed-in products do not fit (a fixed-in set that does not fit closes
-    the search at once), when its bound cannot beat the incumbent, or when
-    its fill is integral, feasible and attains the majorant.
+    the search at once) or when its bound cannot beat the incumbent by
+    more than the tie slack.  An integral, feasible fill updates the
+    incumbent and the node still branches, so its subtree is searched for
+    an assortment an ulp better or ranked first by ``tie_break_prefer``.
 
     Exhausting the node or time budget returns status "feasible", the best
     incumbent and, as ``upper_bound``, the LP value or the largest bound
     still open, whichever is smaller (never below the incumbent), which a
     larger budget never loosens.  ``stats`` counts the core's nodes, the
-    root LP's solves and the fixed products.
+    root LP's solves and the products fixed at the root.
     """
     if config is None:
         config = BranchBoundConfig()
@@ -573,12 +581,13 @@ def branch_and_bound(
     inc_a = a_value(instance, inc_x)
 
     lp = lp_relaxation(instance) if root_lp is None else root_lp
-    fixed_in, fixed_out = _reduced_cost_fixing(lp, inc_a)
+    fixed_in, fixed_out = _reduced_cost_fixing(lp.dual_bound, lp.reduced_costs, inc_a)
     fixed = np.flatnonzero(fixed_in)
     core = np.flatnonzero(~(fixed_in | fixed_out))
     mu_core = coeffs.mu_matrix(n, core, core)
     lin_core = coeffs.lin_costs[core] + coeffs.mu_matrix(n, core, fixed).sum(axis=1)
     w_core = weights[core]
+    reduced_core = lp.reduced_costs[core]
     weight_in = float(weights[fixed].sum())
     value_in = (float(coeffs.lin_costs[fixed].sum())
                 + 0.5 * float(coeffs.mu_matrix(n, fixed, fixed).sum()))
@@ -592,18 +601,19 @@ def branch_and_bound(
     stack = [(np.zeros(m, dtype=bool), np.ones(m, dtype=bool),
               (value_in + root_majorant) * (1 + _MAJORANT_SAFETY), np.zeros(m))]
     stopped = False
+    # the core is what fixing against inc_a left free; re-fixed when A rises
+    refix_a, refix_in, refix_out = inc_a, np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
 
     def offered(on) -> np.ndarray:
         x = fixed_in.astype(np.int8)
         x[core[on]] = 1
         return x
 
-    def maybe_update(x_cand: np.ndarray) -> float:
+    def maybe_update(x_cand: np.ndarray) -> None:
         nonlocal inc_x, inc_a
         a = a_value(instance, x_cand)
         if a > inc_a or (a == inc_a and tie_break_prefer(x_cand, inc_x)):
             inc_x, inc_a = x_cand, a
-        return a
 
     while stack:
         if config.node_budget is not None and stats.nodes >= config.node_budget:
@@ -617,7 +627,16 @@ def branch_and_bound(
             break
         on, free, bound, mu_fold = stack.pop()
         stats.nodes += 1
-        attain_tol = _ATTAIN_REL_TOL * abs(inc_a)
+
+        # re-fix against the incumbent; the masks depend on its A alone
+        if inc_a > refix_a:
+            refix_a = inc_a
+            refix_in, refix_out = _reduced_cost_fixing(lp.dual_bound, reduced_core, inc_a)
+        free = free & ~refix_out
+        moved = free & refix_in
+        if moved.any():
+            on, free = on | moved, free & ~moved
+            mu_fold = mu_fold + mu_core[moved].sum(axis=0)
 
         weight_fixed = weight_in + float(w_core @ on)
         if not fits_capacity(instance, weight_fixed, lambda _: offered(on)):
@@ -655,10 +674,8 @@ def branch_and_bound(
             on_filled[filled] = True
             x_int = offered(on_filled)
             load = weight_fixed + float(w_core[filled].sum())
-            # a fill attaining the raw majorant is optimal in the subtree
-            if (fits_capacity(instance, load, lambda _: x_int)
-                    and maybe_update(x_int) >= majorant - attain_tol):
-                continue
+            if fits_capacity(instance, load, lambda _: x_int):
+                maybe_update(x_int)
 
         branch_var = free_idx[pick]
         child_on, child_free = on.copy(), free.copy()

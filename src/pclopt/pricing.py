@@ -79,11 +79,12 @@ def optimal_uniform_price(instance: Instance, x) -> tuple[float, float]:
 class SolveStats:
     """Search effort behind an answer: branch-and-bound nodes (brute force
     counts the 2^n assortments), root LP solves, and the products the root
-    LP's reduced costs fixed in and out.  Heuristic answers set
-    ``improvement_count`` (GRASP also ``construction_rcl``) and serialize
-    those in place of the search counts.  Heuristics and the LP
-    bound leave ``wall_time_s`` at 0, so their results repeat exactly; the
-    CLI stamps it on every answer."""
+    LP's reduced costs fixed in and out at the root, against the starting
+    incumbent; products re-fixed during the search are not counted.
+    Heuristic answers set ``improvement_count`` (GRASP also
+    ``construction_rcl``) and serialize those in place of the search
+    counts.  Heuristics and the LP bound leave ``wall_time_s`` at 0, so
+    their results repeat exactly; the CLI stamps it on every answer."""
 
     nodes: int = 0
     lp_solves: int = 0

@@ -124,6 +124,19 @@ def rounding_capacity_instance(scale=1.0) -> Instance:
                         3.56 * scale, gamma=0.5)
 
 
+def attained_tie_instance() -> Instance:
+    """n = 9 with two optima an ulp apart: {3, 5, 7, 8} at A =
+    346.0829810403911, and {3, 4, 5, 8} one ulp below.  Searched from the
+    empty assortment, an integral fill reaches {3, 4, 5, 8} first and
+    attains its majorant to a 1e-9 slack, so a search that closes such a
+    subtree never finds the better one."""
+    gamma = np.full(pair_count(9), 1e-310)
+    gamma[[0, 2, 6, 7, 9, 12, 13, 14, 19, *range(21, 28), *range(29, 34), 35]] = 1.0
+    return toy_instance([0.0, 0.0, 0.1, 0.1, 0.1, 3.6875, 0.1, 0.1, 0.1],
+                        [0.1, 0.1, 0.1, 0.125, 0.1, 1.0, 1.0, 0.1, 0.1],
+                        1.3250000000000002, gamma=gamma)
+
+
 def assert_matches_all_pairs_lp(instance: Instance, value: float):
     """Assert that value is the LP relaxation's optimum to 1e-12, as one
     linprog call holding every pair row (n <= 25) brackets it: an oracle

@@ -70,7 +70,9 @@ def test_criterion_1_lambert_residual():
     worst = 0.0
     for y in ys:
         w = lambert_w0(float(y))
-        worst = max(worst, abs(w * math.exp(w) - y) / max(1.0, y))
+        # relative to y, also below 1, where W(y) ~ y
+        residual = abs(w * math.exp(w) - y)
+        worst = max(worst, residual / y if y > 0.0 else residual)
     elapsed = time.perf_counter() - t0
     _report(
         "criterion 1 (Lambert-W residual)",

@@ -35,6 +35,7 @@ from pclopt.exact import (_fractional_knapsack, _lp_matrix, _reduced_cost_fixing
 
 from conftest import (
     assert_matches_all_pairs_lp,
+    attained_tie_instance,
     past_prefix_instance,
     random_instance,
     reference_fractional_knapsack,
@@ -580,19 +581,19 @@ def test_result_serialization():
 # master seed 0; a change to the fixing or the node arithmetic that moves the
 # search moves these.  At the budget the LP value is the tighter bound
 PINNED_SEARCHES = [
-    ((20, 0.04, 0, None), ("optimal", 23, [3, 6, 12], 177.13108419128628, 177.13108419128628)),
-    ((20, 0.06, 2, None), ("optimal", 15, [2, 14, 18], 130.80335347241186, 130.80335347241186)),
+    ((20, 0.04, 0, None), ("optimal", 25, [3, 6, 12], 177.13108419128628, 177.13108419128628)),
+    ((20, 0.06, 2, None), ("optimal", 17, [2, 14, 18], 130.80335347241186, 130.80335347241186)),
     ((50, 0.04, 0, None),
      ("optimal", 21, [6, 8, 23, 27, 38, 45], 1055.6986948396477, 1055.6986948396477)),
     ((50, 0.06, 2, None),
-     ("optimal", 5, [0, 17, 20, 22, 24, 34, 45, 46], 1609.8363903535483, 1609.8363903535483)),
+     ("optimal", 7, [0, 17, 20, 22, 24, 34, 45, 46], 1609.8363903535483, 1609.8363903535483)),
     ((100, 0.02, 1, None),
-     ("optimal", 127, [37, 40, 52, 66, 71, 72, 82], 2754.469524389556, 2754.469524389556)),
+     ("optimal", 81, [37, 40, 52, 66, 71, 72, 82], 2754.469524389556, 2754.469524389556)),
     ((100, 0.04, 0, None),
-     ("optimal", 47, [0, 13, 14, 48, 52, 60, 65, 72, 86, 87, 99],
+     ("optimal", 45, [0, 13, 14, 48, 52, 60, 65, 72, 86, 87, 99],
       4422.0534966454, 4422.0534966454)),
     ((100, 0.06, 1, None),
-     ("optimal", 7, [1, 2, 19, 25, 29, 30, 35, 36, 38, 51, 57, 64, 72, 87, 89],
+     ("optimal", 5, [1, 2, 19, 25, 29, 30, 35, 36, 38, 51, 57, 64, 72, 87, 89],
       5960.11126299654, 5960.11126299654)),
     ((400, 0.04, 0, 2000),
      ("feasible", 2000,
@@ -649,6 +650,18 @@ def test_grasp_and_search_never_hold_a_dense_mu():
     assert peak < n * n * 8
 
 
+@pytest.mark.parametrize("start", ["empty", "grasp"])
+def test_a_fill_that_attains_its_majorant_does_not_hide_a_better_assortment(start):
+    # from the empty assortment the first integral fill offers {3, 4, 5, 8},
+    # which attains its majorant to 1e-9 yet is an ulp below {3, 5, 7, 8}
+    inst = attained_tie_instance()
+    incumbent = grasp(inst).assortment if start == "grasp" else None
+    result = branch_and_bound(inst, incumbent=incumbent)
+    assert result.status == "optimal"
+    assert np.flatnonzero(result.assortment).tolist() == [3, 5, 7, 8]
+    assert result.a_value == brute_force_oracle(inst).a_value == 346.0829810403911
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_branch_and_bound_matches_brute_force_on_random_inputs(data):
@@ -674,10 +687,8 @@ def test_branch_and_bound_matches_brute_force_on_random_inputs(data):
     result = branch_and_bound(inst)
     assert result.status == "optimal"
     assert is_feasible(inst, result.assortment)
-    # equal to rounding, not bit for bit, and either of two tied assortments:
-    # branch-and-bound closes a subtree on a fill that attains its majorant
-    # without searching it for a tie that tie_break_prefer ranks first
-    assert result.a_value == pytest.approx(oracle.a_value, rel=1e-14, abs=0.0)
+    assert result.a_value == oracle.a_value
+    assert np.array_equal(result.assortment, oracle.assortment)
 
     assert lp_relaxation(inst).objective_value >= oracle.a_value * (1 - 1e-12)
 
@@ -706,7 +717,8 @@ def test_solvers_keep_the_optimum_when_ratios_leave_the_float_range(data):
         assert is_feasible(inst, seeded.assortment)
         result = branch_and_bound(inst, incumbent=seeded.assortment)
         assert result.status == "optimal"
-        assert result.a_value == pytest.approx(oracle.a_value, rel=1e-14, abs=0.0)
+        assert result.a_value == oracle.a_value
+        assert np.array_equal(result.assortment, oracle.assortment)
 
 
 @settings(max_examples=150, deadline=None)
@@ -734,13 +746,14 @@ def test_fixing_keeps_the_optimum_and_its_preferred_tie(data):
     oracle = brute_force_oracle(inst)
     lp = lp_relaxation(inst)
 
-    fixed_in, fixed_out = _reduced_cost_fixing(lp, oracle.a_value)
+    fixed_in, fixed_out = _reduced_cost_fixing(lp.dual_bound, lp.reduced_costs, oracle.a_value)
     offered = oracle.assortment == 1
     assert not (fixed_in & ~offered).any() and not (fixed_out & offered).any()
 
     result = branch_and_bound(inst, incumbent=grasp(inst).assortment, root_lp=lp)
     assert result.status == "optimal"
-    assert result.a_value == pytest.approx(oracle.a_value, rel=1e-14, abs=0.0)
+    assert result.a_value == oracle.a_value
+    assert np.array_equal(result.assortment, oracle.assortment)
 
     budgeted = branch_and_bound(
         inst, BranchBoundConfig(node_budget=data.draw(st.integers(0, 5))), root_lp=lp)
