@@ -147,7 +147,8 @@ class ExperimentRow:
 
 def _solve_one(task):
     """Run the requested methods on one generated instance; returns the log
-    record.  One root LP serves both ``lp-bound`` and ``exact``;
+    record.  One root LP serves both ``lp-bound`` and ``exact``, and its
+    simplex iterations are recorded for either;
     ``exact_time_s`` times the search alone, from the GRASP answer and
     that LP."""
     cell, index, master_seed, methods, grasp_config, bb_config = task
@@ -165,6 +166,7 @@ def _solve_one(task):
         t0 = time.perf_counter()
         lp = lp_relaxation(instance)
         lp_time_s = time.perf_counter() - t0
+        record["lp_iterations"] = lp.simplex_iterations
     if "lp-bound" in methods:
         record["lp_time_s"] = lp_time_s
         record["lp_bound"] = lp.objective_value

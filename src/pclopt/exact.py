@@ -14,11 +14,13 @@ Three routes to the optimum / bounds on it:
   pair of that prefix, so one HiGHS solve usually suffices; violated rows
   outside it are still generated lazily, which keeps the answer exact.
   Each restricted LP goes to HiGHS through the binding scipy ships
-  (``_solve_highs``), with linprog's options but not its wrapper.  The
-  binding is loaded from its file (``_load_highs``), so importing pclopt
-  imports neither scipy.optimize nor scipy.sparse: the matrix is built as
-  CSC arrays in numpy (``_lp_matrix``), the same arrays scipy.sparse
-  would hold.  Its answer carries the dual certificate of its bound: the
+  (``_solve_highs``), with linprog's options but not its wrapper, and its
+  dual simplex starts from the basis of the fractional-knapsack fill
+  (``_start_basis``), near the LP optimum, not from the all-slack basis
+  linprog starts from.  The binding is loaded from its file
+  (``_load_highs``), so importing pclopt imports neither scipy.optimize
+  nor scipy.sparse: the matrix is built as CSC arrays in numpy
+  (``_lp_matrix``), the same arrays scipy.sparse would hold.  Its answer carries the dual certificate of its bound: the
   row duals, the reduced costs of x and the weak-duality value.
 * ``lp_bound_answer`` is the bound-only answer: no assortment, the LP
   bound as ``upper_bound``, priced as if that A were attained, which gives
@@ -143,6 +145,8 @@ _HIGHS_OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
 # the LP reports its primal objective when the duals certify it to this
 # relative gap, which is rounding; past it, the duals' bound
 _DUALITY_GAP_REL_TOL = 1e-13
+_BASIS_STATUS = np.array([highs.HighsBasisStatus.kLower, highs.HighsBasisStatus.kBasic,
+                          highs.HighsBasisStatus.kUpper], dtype=object)
 
 
 class InstanceTooLarge(ValueError):
@@ -151,12 +155,14 @@ class InstanceTooLarge(ValueError):
 
 @dataclass
 class LpSolution:
-    """The LP optimum (x, y), its objective and the HiGHS solves it took,
-    with the dual certificate of the last restricted LP, unscaled: the
-    pair positions of its pair rows and their duals (every other pair row's
-    dual is 0), the reduced costs of x and the weak-duality value
-    D >= objective_value.  The duals are kept sparse: a dense vector over
-    every pair would take 4 MB at n = 1000 for about 6.5k rows.
+    """The LP optimum (x, y), its objective, the HiGHS solves it took and
+    their simplex iterations, with the dual certificate of the last
+    restricted LP, unscaled: the pair positions of its pair rows and their
+    duals (every other pair row's dual is 0), the reduced costs of x and
+    the weak-duality value D >= objective_value (raised to the objective
+    where rounding puts the duals' value a few ulps below it).  The duals
+    are kept sparse: a dense vector over every pair would take 4 MB at
+    n = 1000 for about 6.5k rows.
 
     Every omitted pair's y column has reduced cost mu <= 0 at a zero dual,
     so the certificate holds for the full program: D - max(0, r_k) + r_k
@@ -168,6 +174,7 @@ class LpSolution:
     y_frac: np.ndarray
     objective_value: float
     lp_solves: int
+    simplex_iterations: int
     pair_rows: np.ndarray
     pair_duals: np.ndarray
     reduced_costs: np.ndarray
@@ -300,17 +307,34 @@ def _refined_duals(cost, a_ub, u, z) -> np.ndarray:
     return refined
 
 
-def _solve_highs(cost, a_ub, b_ub) -> tuple[np.ndarray, np.ndarray]:
-    """min cost'z over a_ub z <= b_ub, 0 <= z <= 1, with a_ub in CSC form
-    as the arrays (data, indices, indptr): (z, row duals), the duals signed
-    as linprog's ``ineqlin.marginals``.
+def _start_basis(fill, pair_i, pair_j):
+    """The restricted LP's start basis at the knapsack fill ``fill``, whose
+    pair rows join products ``pair_i`` and ``pair_j``.
 
-    One HiGHS solve through scipy's bundled binding, with the options
-    linprog passes, so it returns linprog's answer bit for bit without its
-    input checks and per-call option parsing.  A fresh solver per call
-    carries no basis between solves.  Any status but optimal raises
-    RuntimeError.
+    x_k is at its upper bound where fill = 1, basic where it is fractional
+    and at its lower bound where it is 0.  A pair whose ends both have
+    positive fill has y basic, at x_i + x_j - 1 in [0, 1], and its row
+    tight; every other y is at 0 with its row's slack basic.  The capacity
+    row is tight when the fill has a fractional product and basic
+    otherwise.  Each row has one basic variable of its own, the fractional
+    x that of the capacity row, so the basis is triangular, hence
+    nonsingular, and it is primal feasible.
     """
+    # status codes index _BASIS_STATUS: 0 lower, 1 basic, 2 upper
+    both = (fill[pair_i] > 0.0) & (fill[pair_j] > 0.0)
+    x_status = (fill > 0.0).astype(np.int64) + (fill >= 1.0)
+    capacity_status = 2 if np.any(x_status == 1) else 1
+    basis = highs.HighsBasis()
+    basis.col_status = _BASIS_STATUS[np.concatenate([x_status, both])].tolist()
+    basis.row_status = _BASIS_STATUS[np.concatenate([[capacity_status], 1 + both])].tolist()
+    # a basis HiGHS checks for one basic per row instead of repairing it
+    basis.alien = False
+    return basis
+
+
+def _highs_model(cost, a_ub, b_ub):
+    """The LP min cost'z over a_ub z <= b_ub, 0 <= z <= 1 as a ``HighsLp``,
+    with a_ub in CSC form as the arrays (data, indices, indptr)."""
     data, indices, indptr = a_ub
     rows, cols = b_ub.size, cost.size
     lp = highs.HighsLp()
@@ -328,16 +352,35 @@ def _solve_highs(cost, a_ub, b_ub) -> tuple[np.ndarray, np.ndarray]:
     matrix.start_ = indptr
     matrix.index_ = indices
     matrix.value_ = data
+    return lp
+
+
+def _solve_highs(cost, a_ub, b_ub, basis=None) -> tuple[np.ndarray, np.ndarray, int]:
+    """The LP of ``_highs_model`` solved: (z, row duals, simplex
+    iterations), the duals signed as linprog's ``ineqlin.marginals``.
+
+    One HiGHS solve through scipy's bundled binding, with the options
+    linprog passes but without its input checks and per-call option
+    parsing.  Dual simplex starts from ``basis`` (a ``HighsBasis``, such as
+    ``_start_basis``) when given, else from the all-slack basis, as linprog
+    does: without a basis the answer is linprog's bit for bit.  A fresh
+    solver per call carries no state between solves, so a call repeats
+    bit for bit.  A basis HiGHS refuses, or any status but optimal, raises
+    RuntimeError.
+    """
     solver = highs._Highs()
     solver.passOptions(_HIGHS_OPTIONS)
-    if solver.passModel(lp) == highs.HighsStatus.kError:
+    if solver.passModel(_highs_model(cost, a_ub, b_ub)) == highs.HighsStatus.kError:
         raise RuntimeError("LP solve failed: HiGHS refused the model")
+    if basis is not None and solver.setBasis(basis) == highs.HighsStatus.kError:
+        raise RuntimeError("LP solve failed: HiGHS refused the start basis")
     if (solver.run() == highs.HighsStatus.kError
             or solver.getModelStatus() != highs.HighsModelStatus.kOptimal):
         status = solver.modelStatusToString(solver.getModelStatus())
         raise RuntimeError(f"LP solve failed: {status}")
     solution = solver.getSolution()
-    return np.array(solution.col_value), np.array(solution.row_dual)
+    return (np.array(solution.col_value), np.array(solution.row_dual),
+            solver.getInfo().simplex_iteration_count)
 
 
 def lp_relaxation(instance: Instance) -> LpSolution:
@@ -354,8 +397,11 @@ def lp_relaxation(instance: Instance) -> LpSolution:
     violated, the restricted optimum is the full LP optimum.  Only pairs of
     products with positive x can violate their row, so the scan and y_frac
     cost O(p^2) for p such products.  Each restricted LP is built in CSC
-    form and solved by ``_solve_highs``, which returns linprog's x and
-    duals bit for bit at a fraction of its per-call cost.
+    form and solved by ``_solve_highs`` from ``_start_basis`` at the
+    knapsack fill: at n = 1000 that takes hundreds of simplex iterations
+    where the all-slack start takes thousands.  Without the basis the
+    binding returns linprog's answer bit for bit, which is how the tests
+    tie it to linprog; with it, an optimal vertex of the same LP.
 
     The reported objective is the canonical full one at x, unless HiGHS's
     duals, as returned and refined on its basis, both bound the LP above
@@ -383,7 +429,7 @@ def lp_relaxation(instance: Instance) -> LpSolution:
     exponent = 1 - np.frexp(lin_costs.max())[1]
     row_exponent = 1 - np.frexp(instance.weights.max())[1]
 
-    solves = 0
+    solves = iterations = 0
     for _ in range(mu.size + 2):
         seeded, _, _ = pair_positions(order[:prefix], n)
         sel = np.sort(seeded[mu[seeded] < 0.0])
@@ -391,8 +437,9 @@ def lp_relaxation(instance: Instance) -> LpSolution:
         cost = np.ldexp(np.concatenate([-lin_costs, -mu[sel]]), exponent)
         a_ub = _lp_matrix(np.ldexp(instance.weights, row_exponent), I[sel], J[sel])
         b_ub = np.concatenate([[np.ldexp(instance.capacity, row_exponent)], np.ones(k)])
-        z, row_dual = _solve_highs(cost, a_ub, b_ub)
+        z, row_dual, steps = _solve_highs(cost, a_ub, b_ub, _start_basis(fill, I[sel], J[sel]))
         solves += 1
+        iterations += steps
         x = z[:n]
         pos, i, j = pair_positions(np.flatnonzero(x > 0.0), n)
         excess = x[i] + x[j] - 1.0
@@ -418,10 +465,13 @@ def lp_relaxation(instance: Instance) -> LpSolution:
             if (not math.isfinite(objective)
                     or dual - objective > _DUALITY_GAP_REL_TOL * abs(objective)):
                 objective = dual
+            # rounding can put the duals' bound a few ulps below the
+            # objective at x; raising D to it keeps the certificate valid
             return LpSolution(
                 x_frac=x, y_frac=y, objective_value=objective, lp_solves=solves,
-                pair_rows=sel, pair_duals=np.ldexp(u[1:], -exponent),
-                reduced_costs=reduced[:n], dual_bound=dual,
+                simplex_iterations=iterations, pair_rows=sel,
+                pair_duals=np.ldexp(u[1:], -exponent), reduced_costs=reduced[:n],
+                dual_bound=max(dual, objective),
             )
         deepest = rank[np.concatenate([i[violated], j[violated]])].max()
         prefix = max(prefix, math.ceil(_SEED_PREFIX_FACTOR * (deepest + 1)))
@@ -440,7 +490,7 @@ def lp_bound_answer(instance: Instance) -> SolveResult:
         revenue=revenue,
         upper_bound=lp.objective_value,
         status="bound-only",
-        stats=SolveStats(lp_solves=lp.lp_solves),
+        stats=SolveStats(lp_solves=lp.lp_solves, lp_iterations=lp.simplex_iterations),
     )
 
 
@@ -592,8 +642,8 @@ def branch_and_bound(
     value_in = (float(coeffs.lin_costs[fixed].sum())
                 + 0.5 * float(coeffs.mu_matrix(n, fixed, fixed).sum()))
 
-    stats = SolveStats(lp_solves=lp.lp_solves, fixed_in=fixed.size,
-                       fixed_out=int(np.count_nonzero(fixed_out)))
+    stats = SolveStats(lp_solves=lp.lp_solves, lp_iterations=lp.simplex_iterations,
+                       fixed_in=fixed.size, fixed_out=int(np.count_nonzero(fixed_out)))
     exponents = weight_exponents(weights)
     root_majorant, _ = _fractional_knapsack(lin_core, w_core, capacity - weight_in, exponents)
     # a node is (on, free, bound, mu_fold), over the core

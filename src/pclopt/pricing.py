@@ -78,7 +78,8 @@ def optimal_uniform_price(instance: Instance, x) -> tuple[float, float]:
 @dataclass
 class SolveStats:
     """Search effort behind an answer: branch-and-bound nodes (brute force
-    counts the 2^n assortments), root LP solves, and the products the root
+    counts the 2^n assortments), root LP solves and their simplex
+    iterations, summed over the restricted LPs, and the products the root
     LP's reduced costs fixed in and out at the root, against the starting
     incumbent; products re-fixed during the search are not counted.
     Heuristic answers set ``improvement_count`` (GRASP also
@@ -88,6 +89,7 @@ class SolveStats:
 
     nodes: int = 0
     lp_solves: int = 0
+    lp_iterations: int = 0
     fixed_in: int = 0
     fixed_out: int = 0
     wall_time_s: float = 0.0
@@ -104,6 +106,7 @@ class SolveStats:
         return {
             "nodes": self.nodes,
             "lp_solves": self.lp_solves,
+            "lp_iterations": self.lp_iterations,
             "fixed_in": self.fixed_in,
             "fixed_out": self.fixed_out,
             "wall_time_s": self.wall_time_s,

@@ -30,8 +30,9 @@ from pclopt import (
 )
 
 import pclopt.exact
-from pclopt.exact import (_fractional_knapsack, _lp_matrix, _reduced_cost_fixing, _refined_duals,
-                          _solve_highs, _transposed_product, _weak_duality_bound)
+from pclopt.exact import (_DUALITY_GAP_REL_TOL, _fractional_knapsack, _highs_model, _lp_matrix,
+                          _reduced_cost_fixing, _refined_duals, _solve_highs,
+                          _transposed_product, _weak_duality_bound, highs)
 
 from conftest import (
     assert_matches_all_pairs_lp,
@@ -211,24 +212,30 @@ def test_lp_relaxation_matches_the_all_pairs_lp(data):
     assert_matches_all_pairs_lp(inst, lp.objective_value)
 
 
+def _recorded_lps(inst):
+    # every restricted LP lp_relaxation solves, with its start basis
+    lps = []
+
+    def recording(cost, a_ub, b_ub, basis=None):
+        lps.append((cost, a_ub, b_ub, basis))
+        return _solve_highs(cost, a_ub, b_ub, basis)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pclopt.exact, "_solve_highs", recording)
+        lp_relaxation(inst)
+    return lps
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_highs_binding_returns_linprogs_answer_bit_for_bit(data):
     # the binding must keep linprog's options and sign conventions: a
     # scipy whose binding changes fails here instead of changing answers
-    inst = _draw_lp_instance(data)
-    lps = []
-
-    def recording(cost, a_ub, b_ub):
-        lps.append((cost, a_ub, b_ub))
-        return _solve_highs(cost, a_ub, b_ub)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pclopt.exact, "_solve_highs", recording)
-        lp_relaxation(inst)
+    lps = _recorded_lps(_draw_lp_instance(data))
     assert lps
-    for cost, a_ub, b_ub in lps:
-        z, row_dual = _solve_highs(cost, a_ub, b_ub)
+    for cost, a_ub, b_ub, basis in lps:
+        # without a start basis, the binding is linprog
+        z, row_dual, _ = _solve_highs(cost, a_ub, b_ub)
         a_sparse = sp.csc_array(a_ub, shape=(b_ub.size, cost.size))
         res = linprog(cost, A_ub=a_sparse, b_ub=b_ub, bounds=(0, 1), method="highs", options={
             "presolve": False,
@@ -240,6 +247,19 @@ def test_highs_binding_returns_linprogs_answer_bit_for_bit(data):
         assert np.array_equal(row_dual, res.ineqlin.marginals)
         again = _solve_highs(cost, a_ub, b_ub)
         assert np.array_equal(again[0], z) and np.array_equal(again[1], row_dual)
+        # from the start basis lp_relaxation passes: the same vertex and
+        # duals on every call, and linprog's optimum.  Each answer lies
+        # within its duality gap of the optimum, so the two objectives agree
+        # to the larger gap plus rounding.  Not to a fixed few ulps: HiGHS
+        # stops within its 1e-10 tolerances, so on costs that differ by
+        # less the two starts end at vertices up to 3e-11 apart
+        assert basis is not None
+        warm_z, warm_dual, _ = _solve_highs(cost, a_ub, b_ub, basis)
+        gap = max(_weak_duality_bound(cost, a_ub, b_ub, np.maximum(0.0, -duals), 0)[0]
+                  + cost @ vertex for vertex, duals in ((z, row_dual), (warm_z, warm_dual)))
+        assert abs(cost @ warm_z - cost @ z) <= gap + _DUALITY_GAP_REL_TOL * abs(cost @ z)
+        again = _solve_highs(cost, a_ub, b_ub, basis)
+        assert np.array_equal(again[0], warm_z) and np.array_equal(again[1], warm_dual)
 
 
 def test_highs_binding_raises_on_an_infeasible_lp():
@@ -248,6 +268,65 @@ def test_highs_binding_raises_on_an_infeasible_lp():
     a_ub = (np.array([1.0]), np.array([0]), np.array([0, 1]))
     with pytest.raises(RuntimeError, match="Infeasible"):
         _solve_highs(np.array([1.0]), a_ub, np.array([-1.0]))
+
+
+@pytest.mark.parametrize("case, inst, capacity_status", [
+    # everything fits: no fractional product, so the capacity row is basic
+    ("all-fit", toy_instance([0.0, 0.5, -0.5, 1.0], [1.0, 2.0, 1.5, 0.5], 6.0, gamma=0.5),
+     "kBasic"),
+    # capacity below every weight: the fill is one fractional product
+    ("one-fractional", toy_instance([0.0, 0.5, -0.5, 1.0], [1.0, 2.0, 1.5, 0.5], 0.25,
+                                    gamma=0.5), "kUpper"),
+    # gamma = 1 everywhere: every mu is 0 and no pair row is built
+    ("no-pair-rows", toy_instance([0.0, 0.5, -0.5, 1.0], [1.0, 2.0, 1.5, 0.5], 2.0, gamma=1.0),
+     "kUpper"),
+    # theta = exp(alpha) underflows to 0 on two products: the fill stops
+    # before the capacity is spent, with no fractional product
+    ("theta-underflow", toy_instance([0.0, -800.0, 0.5, -800.0], [1.0, 1.0, 1.0, 1.0], 3.0,
+                                     gamma=0.5), "kBasic"),
+])
+def test_start_basis_is_accepted_on_edge_fills(case, inst, capacity_status):
+    lps = _recorded_lps(inst)
+    assert lps
+    basic = highs.HighsBasisStatus.kBasic
+    _, fill = _fractional_knapsack(coefficients(inst).lin_costs, inst.weights, inst.capacity)
+    for cost, a_ub, b_ub, basis in lps:
+        assert len(basis.col_status) == cost.size and len(basis.row_status) == b_ub.size
+        assert basis.row_status[0] == getattr(highs.HighsBasisStatus, capacity_status)
+        if case == "no-pair-rows":
+            assert b_ub.size == 1
+        # one basic variable per row
+        assert basis.col_status.count(basic) + basis.row_status.count(basic) == b_ub.size
+        # the basic solution, as HiGHS computes it before its first
+        # iteration, is the fill, and feasible
+        options = highs.HighsOptions()
+        options.presolve = "off"
+        options.output_flag = False
+        options.primal_feasibility_tolerance = 1e-10
+        options.simplex_iteration_limit = 0
+        solver = highs._Highs()
+        solver.passOptions(options)
+        solver.passModel(_highs_model(cost, a_ub, b_ub))
+        assert solver.setBasis(basis) == highs.HighsStatus.kOk
+        solver.run()
+        assert np.array(solver.getSolution().col_value)[:inst.n] == pytest.approx(fill, rel=1e-12)
+        assert solver.getInfo().num_primal_infeasibilities == 0
+        # the binding raises if HiGHS refuses the basis
+        warm_z, _, _ = _solve_highs(cost, a_ub, b_ub, basis)
+        cold_z, _, _ = _solve_highs(cost, a_ub, b_ub)
+        assert abs(cost @ warm_z - cost @ cold_z) <= 4 * np.spacing(abs(cost @ cold_z))
+
+
+def test_highs_binding_raises_on_a_basis_it_refuses():
+    # two basic variables for the one row: HiGHS refuses the basis, and the
+    # binding says so instead of solving from the all-slack basis
+    a_ub = (np.array([1.0, 1.0]), np.array([0, 0]), np.array([0, 1, 2]))
+    basis = highs.HighsBasis()
+    basis.col_status = [highs.HighsBasisStatus.kBasic] * 2
+    basis.row_status = [highs.HighsBasisStatus.kBasic]
+    basis.alien = False
+    with pytest.raises(RuntimeError, match="start basis"):
+        _solve_highs(np.array([-1.0, -1.0]), a_ub, np.array([1.0]), basis)
 
 
 def _scipy_lp_matrix(weights, pair_i, pair_j):
@@ -335,7 +414,14 @@ def test_duals_and_bound_match_the_scipy_sparse_build_bit_for_bit(data):
 def test_lp_relaxation_solves_once_or_twice_at_full_scale(n, index):
     # the seeded prefix holds the final rows; lazy rounds alone took 4-9 solves
     inst = generate_instance(GeneratorConfig(n, 0.04, derive_seed(0, n, 0.04, index)))
-    assert lp_relaxation(inst).lp_solves <= 2
+    lp = lp_relaxation(inst)
+    assert lp.lp_solves <= 2
+    # the certificate's D never falls below the objective, not even by an ulp
+    assert lp.dual_bound >= lp.objective_value
+    # the knapsack fill's basis saves most of the simplex iterations: 8-15%
+    # of the all-slack start's on these cells
+    cold = sum(_solve_highs(cost, a_ub, b_ub)[2] for cost, a_ub, b_ub, _ in _recorded_lps(inst))
+    assert lp.simplex_iterations * 5 < cold
 
 
 def test_majorant_bound_cases_and_chain():
@@ -573,7 +659,8 @@ def test_result_serialization():
     payload = result.to_dict()
     assert payload["status"] == "optimal"
     assert payload["assortment"] == result.assortment.tolist()
-    assert set(payload["stats"]) == {"nodes", "lp_solves", "fixed_in", "fixed_out", "wall_time_s"}
+    assert set(payload["stats"]) == {"nodes", "lp_solves", "lp_iterations", "fixed_in",
+                                     "fixed_out", "wall_time_s"}
 
 
 # (n, kappa, index, node_budget) -> (status, nodes, offered, a_value, upper_bound)

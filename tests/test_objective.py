@@ -99,9 +99,9 @@ def test_mu_is_exactly_zero_on_an_all_unit_gamma_instance(monkeypatch):
     rows = []
     solve_highs = pclopt.exact._solve_highs
 
-    def recording(cost, a_ub, b_ub):
+    def recording(cost, a_ub, b_ub, basis=None):
         rows.append(b_ub.size)
-        return solve_highs(cost, a_ub, b_ub)
+        return solve_highs(cost, a_ub, b_ub, basis)
 
     monkeypatch.setattr(pclopt.exact, "_solve_highs", recording)
     lp = lp_relaxation(inst)
