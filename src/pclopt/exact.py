@@ -27,20 +27,22 @@ Three routes to the optimum / bounds on it:
   ``revenue_upper_bound``.
 * ``branch_and_bound`` proves optimality over binary x.  A solve runs
   GRASP (the caller's incumbent), then the root LP, then reduced-cost
-  fixing, then the core search:
+  fixing and the search:
 
   - the root LP's certificate bounds every assortment with a product in,
     and every one with it out; a product whose bound either way falls
     below the incumbent is fixed the other way (the reduction step of
     Caprara, Pisinger & Toth, INFORMS J. Comput. 1999, with LP reduced
     costs as in Nemhauser & Wolsey 1988);
-  - the products left free form a small core (in the sense of Pisinger's
-    knapsack core), searched depth first with every node bounded by the
+  - the search runs over the products not fixed out, depth first, with
+    the fixed-in ones on from the root node; each node is bounded by the
     fractional-knapsack majorant of its free products, the mu terms of
-    the fixed-in products folded in.  The core is small enough that each
-    fill sorts all of its free products, once, in ``ratio_order``;
+    its products on folded in.  The free products are a small core (in
+    the sense of Pisinger's knapsack core), so each fill sorts all of
+    them, once, in ``ratio_order``;
   - each time the search raises the incumbent, the same certificate fixes
-    core products against the new A at every node popped after.
+    products against the new A at every node popped after, in the same
+    masks the root's fixing starts.
 
 ``knapsack_majorant_bound`` is the root version of that bound: dropping
 the nonpositive mu terms leaves (n-1) sum theta_i x_i, whose
@@ -332,31 +334,24 @@ def _start_basis(fill, pair_i, pair_j):
     return basis
 
 
-def _highs_model(cost, a_ub, b_ub):
-    """The LP min cost'z over a_ub z <= b_ub, 0 <= z <= 1 as a ``HighsLp``,
-    with a_ub in CSC form as the arrays (data, indices, indptr)."""
+def _pass_model(solver, cost, a_ub, b_ub) -> None:
+    """Hand ``solver`` the LP min cost'z over a_ub z <= b_ub, 0 <= z <= 1,
+    with a_ub in CSC form as the arrays (data, indices, indptr), through
+    the binding's array overload of ``passModel``.  Every column is
+    continuous: the overload takes an integrality entry per column and
+    refuses an empty vector.  A model HiGHS refuses raises RuntimeError."""
     data, indices, indptr = a_ub
     rows, cols = b_ub.size, cost.size
-    lp = highs.HighsLp()
-    lp.num_col_ = cols
-    lp.num_row_ = rows
-    lp.col_cost_ = cost
-    lp.col_lower_ = np.zeros(cols)
-    lp.col_upper_ = np.ones(cols)
-    lp.row_lower_ = np.full(rows, -highs.kHighsInf)
-    lp.row_upper_ = b_ub
-    matrix = lp.a_matrix_
-    matrix.format_ = highs.MatrixFormat.kColwise
-    matrix.num_col_ = cols
-    matrix.num_row_ = rows
-    matrix.start_ = indptr
-    matrix.index_ = indices
-    matrix.value_ = data
-    return lp
+    status = solver.passModel(
+        cols, rows, data.size, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
+        cost, np.zeros(cols), np.ones(cols), np.full(rows, -highs.kHighsInf), b_ub,
+        indptr, indices, data, np.zeros(cols, dtype=np.int32))
+    if status == highs.HighsStatus.kError:
+        raise RuntimeError("LP solve failed: HiGHS refused the model")
 
 
 def _solve_highs(cost, a_ub, b_ub, basis=None) -> tuple[np.ndarray, np.ndarray, int]:
-    """The LP of ``_highs_model`` solved: (z, row duals, simplex
+    """The LP of ``_pass_model`` solved: (z, row duals, simplex
     iterations), the duals signed as linprog's ``ineqlin.marginals``.
 
     One HiGHS solve through scipy's bundled binding, with the options
@@ -370,8 +365,7 @@ def _solve_highs(cost, a_ub, b_ub, basis=None) -> tuple[np.ndarray, np.ndarray, 
     """
     solver = highs._Highs()
     solver.passOptions(_HIGHS_OPTIONS)
-    if solver.passModel(_highs_model(cost, a_ub, b_ub)) == highs.HighsStatus.kError:
-        raise RuntimeError("LP solve failed: HiGHS refused the model")
+    _pass_model(solver, cost, a_ub, b_ub)
     if basis is not None and solver.setBasis(basis) == highs.HighsStatus.kError:
         raise RuntimeError("LP solve failed: HiGHS refused the start basis")
     if (solver.run() == highs.HighsStatus.kError
@@ -587,27 +581,27 @@ def branch_and_bound(
     GRASP's answer) or else from the empty one, and from ``root_lp``, the
     instance's ``lp_relaxation``, which it solves itself when not given.
     The LP's certificate fixes products in and out against the incumbent
-    (``_reduced_cost_fixing``); the rest, the core, are searched.  Each
-    time the incumbent's A rises, the same rule runs on the core's reduced
-    costs, and every node popped after drops the products it fixes out
-    from ``free`` and moves the free ones it fixes in to ``on``.  Both
-    bounds are weak duality for the root duals, so they hold in every
-    subtree, and the tie slack keeps every tied assortment free.
+    (``_reduced_cost_fixing``).  The search runs over the products not
+    fixed out, and its root node holds the fixed-in ones on.  Each time
+    the incumbent's A rises, the same rule runs again, and every node
+    popped after drops the products it fixes out from ``free`` and moves
+    the free ones it fixes in to ``on``: one fixing mechanism, at the root
+    and below it.  Both bounds are weak duality for the root duals, so
+    they hold in every subtree, and the tie slack keeps every tied
+    assortment free.
 
-    Depth-first search over the core, branching on the fractional product
-    of the node's knapsack fill (include-branch explored first).  The core
-    has its own arrays: the free products' linear costs with the mu terms
-    of the fixed-in products folded in, their mu block and the capacity
-    the fixed-in products leave.  A node is the boolean core masks ``on``
-    (fixed in) and ``free``, its inherited bound and ``mu_fold`` = mu block
-    @ on, and is bounded by the fractional-knapsack majorant of its free
-    products with the mu terms of ``on`` folded in.  The include-child adds
-    the branching product to ``on`` and its mu row to the fold; the
-    exclude-child shares its parent's ``on`` and fold, and both share one
-    ``free``.  Nothing is written in place, so a node costs O(core) plus
-    one sort of its free products.  A node closes when its
-    fixed-in products do not fit (a fixed-in set that does not fit closes
-    the search at once) or when its bound cannot beat the incumbent by
+    Depth-first search, branching on the fractional product of the node's
+    knapsack fill (include-branch explored first).  A node is two boolean
+    masks over the products not fixed out, ``on`` and ``free``, its
+    inherited bound and ``mu_fold`` = mu block @ on, and is bounded by
+    the fractional-knapsack majorant of its free products, the mu terms
+    of ``on`` folded in.  The include-child adds the branching product to
+    ``on`` and its mu row to the fold; the exclude-child shares its
+    parent's ``on`` and fold, and both share one ``free``.  Nothing is
+    written in place, so a node costs O(m) for the m products not fixed
+    out, plus one sort of its free products.  A node closes when its
+    products on do not fit (fixed-in products that do not fit close the
+    search at its root) or when its bound cannot beat the incumbent by
     more than the tie slack.  An integral, feasible fill updates the
     incumbent and the node still branches, so its subtree is searched for
     an assortment an ulp better or ranked first by ``tie_break_prefer``.
@@ -615,7 +609,7 @@ def branch_and_bound(
     Exhausting the node or time budget returns status "feasible", the best
     incumbent and, as ``upper_bound``, the LP value or the largest bound
     still open, whichever is smaller (never below the incumbent), which a
-    larger budget never loosens.  ``stats`` counts the core's nodes, the
+    larger budget never loosens.  ``stats`` counts the search's nodes, the
     root LP's solves and the products fixed at the root.
     """
     if config is None:
@@ -632,31 +626,29 @@ def branch_and_bound(
 
     lp = lp_relaxation(instance) if root_lp is None else root_lp
     fixed_in, fixed_out = _reduced_cost_fixing(lp.dual_bound, lp.reduced_costs, inc_a)
-    fixed = np.flatnonzero(fixed_in)
-    core = np.flatnonzero(~(fixed_in | fixed_out))
-    mu_core = coeffs.mu_matrix(n, core, core)
-    lin_core = coeffs.lin_costs[core] + coeffs.mu_matrix(n, core, fixed).sum(axis=1)
-    w_core = weights[core]
-    reduced_core = lp.reduced_costs[core]
-    weight_in = float(weights[fixed].sum())
-    value_in = (float(coeffs.lin_costs[fixed].sum())
-                + 0.5 * float(coeffs.mu_matrix(n, fixed, fixed).sum()))
+    # the products fixing against inc_a leaves in play
+    kept = np.flatnonzero(~fixed_out)
+    mu_kept = coeffs.mu_matrix(n, kept, kept)
+    lin_kept = coeffs.lin_costs[kept]
+    w_kept = weights[kept]
+    reduced_kept = lp.reduced_costs[kept]
 
     stats = SolveStats(lp_solves=lp.lp_solves, lp_iterations=lp.simplex_iterations,
-                       fixed_in=fixed.size, fixed_out=int(np.count_nonzero(fixed_out)))
+                       fixed_in=int(np.count_nonzero(fixed_in)),
+                       fixed_out=int(np.count_nonzero(fixed_out)))
     exponents = weight_exponents(weights)
-    root_majorant, _ = _fractional_knapsack(lin_core, w_core, capacity - weight_in, exponents)
-    # a node is (on, free, bound, mu_fold), over the core
-    m = core.size
-    stack = [(np.zeros(m, dtype=bool), np.ones(m, dtype=bool),
-              (value_in + root_majorant) * (1 + _MAJORANT_SAFETY), np.zeros(m))]
+    # a node is (on, free, bound, mu_fold) over the kept products; the root
+    # starts with the fixed-in ones on, as re-fixing would move them
+    root_on = fixed_in[kept]
+    stack = [(root_on, ~root_on, math.inf, mu_kept @ root_on)]
     stopped = False
-    # the core is what fixing against inc_a left free; re-fixed when A rises
-    refix_a, refix_in, refix_out = inc_a, np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+    # the root's masks hold fixing against inc_a; re-fixed when A rises
+    refix_a = inc_a
+    refix_in = refix_out = np.zeros(kept.size, dtype=bool)
 
     def offered(on) -> np.ndarray:
-        x = fixed_in.astype(np.int8)
-        x[core[on]] = 1
+        x = np.zeros(n, dtype=np.int8)
+        x[kept[on]] = 1
         return x
 
     def maybe_update(x_cand: np.ndarray) -> None:
@@ -681,30 +673,30 @@ def branch_and_bound(
         # re-fix against the incumbent; the masks depend on its A alone
         if inc_a > refix_a:
             refix_a = inc_a
-            refix_in, refix_out = _reduced_cost_fixing(lp.dual_bound, reduced_core, inc_a)
+            refix_in, refix_out = _reduced_cost_fixing(lp.dual_bound, reduced_kept, inc_a)
         free = free & ~refix_out
         moved = free & refix_in
         if moved.any():
             on, free = on | moved, free & ~moved
-            mu_fold = mu_fold + mu_core[moved].sum(axis=0)
+            mu_fold = mu_fold + mu_kept[moved].sum(axis=0)
 
-        weight_fixed = weight_in + float(w_core @ on)
+        weight_fixed = float(w_kept @ on)
         if not fits_capacity(instance, weight_fixed, lambda _: offered(on)):
             continue
         residual = capacity - weight_fixed
         # a product that fits to rounding stays free for the integral check
-        free = free & (w_core - residual <= _CAPACITY_REL_TOL * capacity)
+        free = free & (w_kept - residual <= _CAPACITY_REL_TOL * capacity)
         if not free.any():
             maybe_update(offered(on))
             continue
 
         # linearized objective with the fixed-on set folded in:
         # value(x) = fixed_part + sum over free offered of c_tilde + free-free mu
-        fixed_part = value_in + float(lin_core @ on) + 0.5 * float(on @ mu_fold)
+        fixed_part = float(lin_kept @ on) + 0.5 * float(on @ mu_fold)
         free_idx = np.flatnonzero(free)
-        c_tilde = lin_core[free_idx] + mu_fold[free_idx]
+        c_tilde = lin_kept[free_idx] + mu_fold[free_idx]
         majorant_free, fill = _fractional_knapsack(
-            c_tilde, w_core[free_idx], residual, exponents
+            c_tilde, w_kept[free_idx], residual, exponents
         )
         majorant = fixed_part + majorant_free
         bound = min(bound, majorant * (1 + _MAJORANT_SAFETY))
@@ -723,7 +715,7 @@ def branch_and_bound(
             on_filled = on.copy()
             on_filled[filled] = True
             x_int = offered(on_filled)
-            load = weight_fixed + float(w_core[filled].sum())
+            load = weight_fixed + float(w_kept[filled].sum())
             if fits_capacity(instance, load, lambda _: x_int):
                 maybe_update(x_int)
 
@@ -731,7 +723,7 @@ def branch_and_bound(
         child_on, child_free = on.copy(), free.copy()
         child_on[branch_var], child_free[branch_var] = True, False
         stack.append((on, child_free, bound, mu_fold))
-        stack.append((child_on, child_free, bound, mu_fold + mu_core[branch_var]))
+        stack.append((child_on, child_free, bound, mu_fold + mu_kept[branch_var]))
 
     upper = inc_a
     if stopped:

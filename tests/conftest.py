@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+import scipy.sparse as sp
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from pclopt import (
     GeneratorConfig,
@@ -169,6 +170,36 @@ def assert_matches_all_pairs_lp(instance: Instance, value: float):
     primal = -res.fun * scale
     dual = (u @ b_ub + np.maximum(0.0, -cost / scale - a_ub.T @ u).sum()) * scale
     assert primal * (1 - 1e-12) <= value <= dual * (1 + 1e-12), (value, primal, dual)
+
+
+def linearized_milp(instance: Instance) -> tuple[float, np.ndarray]:
+    """(optimum, x) of the linearized program as a MILP that scipy's HiGHS
+    branch and cut solves: binary x, and y in [0, 1] on every pair with
+    mu < 0,
+
+        max  (n-1) theta'x + mu'y   s.t.  w'x <= C,  x_i + x_j - y_ij <= 1,
+
+    with the matrix sparse.  A third oracle for branch_and_bound, sharing
+    none of its bounds or search.  The costs are scaled to a largest of 1,
+    as HiGHS needs; the optimum is unscaled."""
+    n = instance.n
+    coeffs = coefficients(instance)
+    pairs = np.flatnonzero(coeffs.mu < 0.0)
+    p = pairs.size
+    cost = -np.concatenate([coeffs.lin_costs, coeffs.mu[pairs]])
+    scale = np.abs(cost).max()
+    # row 0 is the capacity row; row 1 + k the pair row of pairs[k]
+    rows = np.concatenate([np.zeros(n, dtype=int), np.repeat(np.arange(1, p + 1), 3)])
+    cols = np.concatenate([np.arange(n), np.stack(
+        [instance.pair_i[pairs], instance.pair_j[pairs], n + np.arange(p)], axis=1).ravel()])
+    vals = np.concatenate([instance.weights, np.tile([1.0, 1.0, -1.0], p)])
+    a_ub = sp.csr_array((vals, (rows, cols)), shape=(1 + p, n + p))
+    b_ub = np.concatenate([[instance.capacity], np.ones(p)])
+    res = milp(cost / scale, constraints=LinearConstraint(a_ub, -np.inf, b_ub),
+               integrality=np.concatenate([np.ones(n), np.zeros(p)]), bounds=Bounds(0.0, 1.0),
+               options={"mip_rel_gap": 0.0})
+    assert res.success, res.message
+    return -res.fun * scale, np.round(res.x[:n]).astype(np.int8)
 
 
 def random_instance(seed, n=None, kappa=None, beta=0.1) -> Instance:

@@ -30,13 +30,14 @@ from pclopt import (
 )
 
 import pclopt.exact
-from pclopt.exact import (_DUALITY_GAP_REL_TOL, _fractional_knapsack, _highs_model, _lp_matrix,
-                          _reduced_cost_fixing, _refined_duals, _solve_highs,
+from pclopt.exact import (_DUALITY_GAP_REL_TOL, _fractional_knapsack, _lp_matrix,
+                          _pass_model, _reduced_cost_fixing, _refined_duals, _solve_highs,
                           _transposed_product, _weak_duality_bound, highs)
 
 from conftest import (
     assert_matches_all_pairs_lp,
     attained_tie_instance,
+    linearized_milp,
     past_prefix_instance,
     random_instance,
     reference_fractional_knapsack,
@@ -306,7 +307,7 @@ def test_start_basis_is_accepted_on_edge_fills(case, inst, capacity_status):
         options.simplex_iteration_limit = 0
         solver = highs._Highs()
         solver.passOptions(options)
-        solver.passModel(_highs_model(cost, a_ub, b_ub))
+        _pass_model(solver, cost, a_ub, b_ub)
         assert solver.setBasis(basis) == highs.HighsStatus.kOk
         solver.run()
         assert np.array(solver.getSolution().col_value)[:inst.n] == pytest.approx(fill, rel=1e-12)
@@ -749,26 +750,42 @@ def test_a_fill_that_attains_its_majorant_does_not_hide_a_better_assortment(star
     assert result.a_value == brute_force_oracle(inst).a_value == 346.0829810403911
 
 
+def _draw_tie_prone_instance(data, n):
+    # discrete draws, as in the attained-tie instance: equal utilities,
+    # weights and gammas make assortments whose A tie or differ by an ulp
+    alpha = data.draw(st.lists(st.sampled_from([0.0, 0.1, 3.6875]), min_size=n, max_size=n))
+    weights = data.draw(st.lists(st.sampled_from([0.1, 0.125, 1.0]), min_size=n, max_size=n))
+    gammas = data.draw(st.lists(st.sampled_from([1e-310, 1.0]),
+                                min_size=pair_count(n), max_size=pair_count(n)))
+    subset = data.draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    capacity = float(np.dot(weights, np.array(subset, dtype=float)))
+    return toy_instance(alpha, weights, capacity, gamma=np.array(gammas))
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_branch_and_bound_matches_brute_force_on_random_inputs(data):
     n = data.draw(st.integers(2, 10))
-    # mostly moderate utilities, a few instances shifted to the float range's edge
-    shift = data.draw(st.sampled_from([0.0] * 8 + [700.0, -700.0]))
-    alpha = [shift + a for a in data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))]
-    gammas = data.draw(st.lists(
-        st.one_of(st.just(1e-310), st.floats(1e-3, 1.0), st.just(1.0)),
-        min_size=pair_count(n), max_size=pair_count(n),
-    ))
-    weights = data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
-    # a fraction of the total, or exactly the weight of a subset (a capacity
-    # tie, which summation orders round either way)
-    subset = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    if any(subset) and data.draw(st.booleans()):
-        capacity = float(np.dot(weights, np.array(subset, dtype=float)))
+    if data.draw(st.sampled_from(["continuous", "continuous", "tie-prone"])) == "tie-prone":
+        inst = _draw_tie_prone_instance(data, n)
     else:
-        capacity = data.draw(st.floats(0.05, 1.1)) * sum(weights)
-    inst = toy_instance(alpha, weights, capacity, gamma=np.array(gammas))
+        # mostly moderate utilities, a few instances shifted to the float range's edge
+        shift = data.draw(st.sampled_from([0.0] * 8 + [700.0, -700.0]))
+        alpha = [shift + a
+                 for a in data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))]
+        gammas = data.draw(st.lists(
+            st.one_of(st.just(1e-310), st.floats(1e-3, 1.0), st.just(1.0)),
+            min_size=pair_count(n), max_size=pair_count(n),
+        ))
+        weights = data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+        # a fraction of the total, or exactly the weight of a subset (a
+        # capacity tie, which summation orders round either way)
+        subset = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        if any(subset) and data.draw(st.booleans()):
+            capacity = float(np.dot(weights, np.array(subset, dtype=float)))
+        else:
+            capacity = data.draw(st.floats(0.05, 1.1)) * sum(weights)
+        inst = toy_instance(alpha, weights, capacity, gamma=np.array(gammas))
     oracle = brute_force_oracle(inst)
 
     result = branch_and_bound(inst)
@@ -783,6 +800,22 @@ def test_branch_and_bound_matches_brute_force_on_random_inputs(data):
     budgeted = branch_and_bound(inst, BranchBoundConfig(node_budget=budget))
     assert budgeted.a_value <= oracle.a_value
     assert budgeted.upper_bound >= oracle.a_value * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("index", [0, 1])
+@pytest.mark.parametrize("kappa", [0.02, 0.04, 0.06])
+@pytest.mark.parametrize("n", [30, 45, 60])
+def test_branch_and_bound_matches_the_milp_optimum(n, kappa, index):
+    # beyond brute force's reach: scipy's MILP solver on the linearized program
+    inst = generate_instance(GeneratorConfig(n, kappa, derive_seed(0, n, kappa, index)))
+    seeded = grasp(inst, GraspConfig(seed=derive_seed(0, n, kappa, index, "grasp")))
+    result = branch_and_bound(inst, incumbent=seeded.assortment)
+    optimum, milp_x = linearized_milp(inst)
+    assert result.status == "optimal"
+    assert result.a_value == pytest.approx(optimum, rel=1e-12, abs=0.0)
+    # the MILP's assortment is feasible and no better than the search's
+    assert is_feasible(inst, milp_x)
+    assert a_value(inst, milp_x) <= result.a_value * (1 + 1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -815,21 +848,26 @@ def test_fixing_keeps_the_optimum_and_its_preferred_tie(data):
     # fixes the most; the assortment brute force returns, the optimum that
     # tie_break_prefer ranks first, must keep every product where it is
     n = data.draw(st.integers(2, 12))
-    shift = data.draw(st.sampled_from([0.0] * 4 + [700.0, -700.0]))
-    scale = data.draw(st.sampled_from([1.0] * 4 + [1e300, 1e-300]))
-    # base utilities at most 3 keep A below the float range at shift 700
-    alpha = [shift + a for a in data.draw(st.lists(st.floats(-5.0, 3.0), min_size=n, max_size=n))]
-    gammas = data.draw(st.lists(
-        st.one_of(st.just(1e-310), st.floats(1e-3, 1.0), st.just(1.0)),
-        min_size=pair_count(n), max_size=pair_count(n),
-    ))
-    weights = [scale * w for w in data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))]
-    subset = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    if any(subset) and data.draw(st.booleans()):
-        capacity = float(np.dot(weights, np.array(subset, dtype=float)))
+    if data.draw(st.sampled_from(["continuous", "continuous", "tie-prone"])) == "tie-prone":
+        inst = _draw_tie_prone_instance(data, n)
     else:
-        capacity = data.draw(st.floats(0.05, 1.1)) * sum(weights)
-    inst = toy_instance(alpha, weights, capacity, gamma=np.array(gammas))
+        shift = data.draw(st.sampled_from([0.0] * 4 + [700.0, -700.0]))
+        scale = data.draw(st.sampled_from([1.0] * 4 + [1e300, 1e-300]))
+        # base utilities at most 3 keep A below the float range at shift 700
+        alpha = [shift + a
+                 for a in data.draw(st.lists(st.floats(-5.0, 3.0), min_size=n, max_size=n))]
+        gammas = data.draw(st.lists(
+            st.one_of(st.just(1e-310), st.floats(1e-3, 1.0), st.just(1.0)),
+            min_size=pair_count(n), max_size=pair_count(n),
+        ))
+        weights = [scale * w
+                   for w in data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))]
+        subset = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        if any(subset) and data.draw(st.booleans()):
+            capacity = float(np.dot(weights, np.array(subset, dtype=float)))
+        else:
+            capacity = data.draw(st.floats(0.05, 1.1)) * sum(weights)
+        inst = toy_instance(alpha, weights, capacity, gamma=np.array(gammas))
     oracle = brute_force_oracle(inst)
     lp = lp_relaxation(inst)
 
