@@ -196,6 +196,8 @@ def _solve_one(task):
         record["exact_upper_bound"] = result.upper_bound
         record["exact_fixed_in"] = result.stats.fixed_in
         record["exact_fixed_out"] = result.stats.fixed_out
+        record["exact_refixed_in"] = result.stats.refixed_in
+        record["exact_refixed_out"] = result.stats.refixed_out
     if "revenue_upper_bound" in record:
         ub = record["revenue_upper_bound"]
         for method in ("exact", "greedy", "grasp"):

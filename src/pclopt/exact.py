@@ -39,10 +39,13 @@ Three routes to the optimum / bounds on it:
     fractional-knapsack majorant of its free products, the mu terms of
     its products on folded in.  The free products are a small core (in
     the sense of Pisinger's knapsack core), so each fill sorts all of
-    them, once, in ``ratio_order``;
+    them, once, in ``ratio_order``, and returns just the products it takes
+    whole and the one it takes in part; a node carries its load and the
+    value of its products on from its parent;
   - each time the search raises the incumbent, the same certificate fixes
-    products against the new A at every node popped after, in the same
-    masks the root's fixing starts.
+    products against the new A, in the same masks the root's fixing
+    starts, at every node popped after that was pushed before it: each
+    node is stamped with the generation of the masks it holds.
 
 ``knapsack_majorant_bound`` is the root version of that bound: dropping
 the nonpositive mu terms leaves (n-1) sum theta_i x_i, whose
@@ -200,33 +203,40 @@ class BranchBoundConfig:
 def _fractional_knapsack(values, weights, capacity, exponents=None):
     """Relaxed knapsack over [0,1] items: fill by value/weight ratio.
 
-    Items with nonpositive value are left at zero.  Returns (optimum, fill)
-    with fill the fractional solution over the given items, filled in
-    ``ratio_order``, one stable sort of every item; ``exponents`` is passed
-    on to ``ratio_key``.  The sum runs over Python floats, so an
+    Items with nonpositive value are left at zero.  The fill runs down
+    ``ratio_order``, one stable sort of every item (``exponents`` is passed
+    on to ``ratio_key``), so the items it takes whole are a prefix of that
+    order.  Returns (optimum, taken, fractional, fraction): their
+    positions, and the position of the one item taken in part with its
+    fraction, or (None, 0.0).  The sum runs over Python floats, so an
     overflowing optimum is a silent inf, which pricing refuses.
     """
-    m = values.size
-    fill = np.zeros(m)
-    if m == 0 or capacity <= 0:
-        return 0.0, fill
+    if values.size == 0 or capacity <= 0:
+        return 0.0, np.zeros(0, dtype=np.intp), None, 0.0
     values = np.maximum(values, 0.0)
     order = ratio_order(values, weights, exponents)
     total = 0.0
     remaining = capacity
-    for k, value, weight in zip(order.tolist(), values[order].tolist(),
-                                weights[order].tolist()):
+    count = 0
+    for value, weight in zip(values[order].tolist(), weights[order].tolist()):
         if value <= 0.0 or remaining <= 0.0:
             break
-        if weight <= remaining:
-            fill[k] = 1.0
-            total += value
-            remaining -= weight
-        else:
-            frac = remaining / weight
-            fill[k] = frac
-            return total + value * frac, fill
-    return total, fill
+        if weight > remaining:
+            fraction = remaining / weight
+            return total + value * fraction, order[:count], int(order[count]), fraction
+        total += value
+        remaining -= weight
+        count += 1
+    return total, order[:count], None, 0.0
+
+
+def _knapsack_fill(m, taken, fractional, fraction) -> np.ndarray:
+    """A ``_fractional_knapsack`` return as its fractional solution over m items."""
+    fill = np.zeros(m)
+    fill[taken] = 1.0
+    if fractional is not None:
+        fill[fractional] = fraction
+    return fill
 
 
 def knapsack_majorant_bound(instance: Instance) -> float:
@@ -236,7 +246,7 @@ def knapsack_majorant_bound(instance: Instance) -> float:
     both only increase the optimum, so this dominates the LP bound and A(x*).
     """
     theta = coefficients(instance).theta
-    best, _ = _fractional_knapsack(theta, instance.weights, instance.capacity)
+    best = _fractional_knapsack(theta, instance.weights, instance.capacity)[0]
     return (instance.n - 1) * best
 
 
@@ -413,7 +423,8 @@ def lp_relaxation(instance: Instance) -> LpSolution:
     order = ratio_order(lin_costs, instance.weights)
     rank = np.empty(n, dtype=int)
     rank[order] = np.arange(n)
-    _, fill = _fractional_knapsack(lin_costs, instance.weights, instance.capacity)
+    fill = _knapsack_fill(n, *_fractional_knapsack(lin_costs, instance.weights,
+                                                    instance.capacity)[1:])
     prefix = math.ceil(_SEED_PREFIX_FACTOR * np.count_nonzero(fill))
     # HiGHS gives up or returns a wrong vertex on costs far from 1, so the
     # largest cost is scaled into [1, 2) by a power of two: every mantissa
@@ -593,13 +604,19 @@ def branch_and_bound(
     Depth-first search, branching on the fractional product of the node's
     knapsack fill (include-branch explored first).  A node is two boolean
     masks over the products not fixed out, ``on`` and ``free``, its
-    inherited bound and ``mu_fold`` = mu block @ on, and is bounded by
-    the fractional-knapsack majorant of its free products, the mu terms
-    of ``on`` folded in.  The include-child adds the branching product to
-    ``on`` and its mu row to the fold; the exclude-child shares its
-    parent's ``on`` and fold, and both share one ``free``.  Nothing is
-    written in place, so a node costs O(m) for the m products not fixed
-    out, plus one sort of its free products.  A node closes when its
+    inherited bound, ``mu_fold`` = mu block @ on, its load w.on, its
+    ``fixed_part`` lin.on + 1/2 on.mu_fold and the generation of its
+    fixing masks.  It is bounded by ``fixed_part`` plus the
+    fractional-knapsack majorant of its free products, the mu terms of
+    ``on`` folded in.  The include-child adds the branching product b to
+    ``on``, its mu row to the fold, w_b to the load and lin_b + mu_fold[b]
+    to the fixed part; the exclude-child shares its parent's ``on``, fold
+    and sums, and both share one ``free``.  Nothing is written in place.
+    Only a node pushed before the latest re-fix applies its masks, and
+    only one they move products on for sums its load and fixed part anew.
+    So a node costs a few O(m) steps for the m products not fixed out,
+    plus one fill over its free products, which returns the products it
+    takes whole and the one it takes in part.  A node closes when its
     products on do not fit (fixed-in products that do not fit close the
     search at its root) or when its bound cannot beat the incumbent by
     more than the tie slack.  An integral, feasible fill updates the
@@ -610,7 +627,8 @@ def branch_and_bound(
     incumbent and, as ``upper_bound``, the LP value or the largest bound
     still open, whichever is smaller (never below the incumbent), which a
     larger budget never loosens.  ``stats`` counts the search's nodes, the
-    root LP's solves and the products fixed at the root.
+    root LP's solves, the products fixed at the root and those its last
+    re-fix fixed beyond them.
     """
     if config is None:
         config = BranchBoundConfig()
@@ -637,14 +655,23 @@ def branch_and_bound(
                        fixed_in=int(np.count_nonzero(fixed_in)),
                        fixed_out=int(np.count_nonzero(fixed_out)))
     exponents = weight_exponents(weights)
-    # a node is (on, free, bound, mu_fold) over the kept products; the root
-    # starts with the fixed-in ones on, as re-fixing would move them
+
+    def fixed_sums(on, mu_fold) -> tuple[float, float]:
+        """(load, fixed_part) of ``on`` from scratch: w.on and lin.on + 1/2 on.mu_fold."""
+        return float(w_kept @ on), float(lin_kept @ on) + 0.5 * float(on @ mu_fold)
+
+    # a node is (on, free, bound, mu_fold, load, fixed_part, stamp) over the
+    # kept products; the root starts with the fixed-in ones on, as re-fixing
+    # would move them, and is stamped with generation 0, the root's fixing
     root_on = fixed_in[kept]
-    stack = [(root_on, ~root_on, math.inf, mu_kept @ root_on)]
+    root_fold = mu_kept @ root_on
+    stack = [(root_on, ~root_on, math.inf, root_fold, *fixed_sums(root_on, root_fold), 0)]
     stopped = False
-    # the root's masks hold fixing against inc_a; re-fixed when A rises
+    # the root's masks hold fixing against inc_a; re-fixed, in a new
+    # generation, when A rises
     refix_a = inc_a
     refix_in = refix_out = np.zeros(kept.size, dtype=bool)
+    generation = 0
 
     def offered(on) -> np.ndarray:
         x = np.zeros(n, dtype=np.int8)
@@ -667,36 +694,39 @@ def branch_and_bound(
         ):
             stopped = True
             break
-        on, free, bound, mu_fold = stack.pop()
+        on, free, bound, mu_fold, load, fixed_part, stamp = stack.pop()
         stats.nodes += 1
 
-        # re-fix against the incumbent; the masks depend on its A alone
+        # re-fix against the incumbent; the masks depend on its A alone, and
+        # a node stamped with their generation was pushed with them applied
         if inc_a > refix_a:
             refix_a = inc_a
             refix_in, refix_out = _reduced_cost_fixing(lp.dual_bound, reduced_kept, inc_a)
-        free = free & ~refix_out
-        moved = free & refix_in
-        if moved.any():
-            on, free = on | moved, free & ~moved
-            mu_fold = mu_fold + mu_kept[moved].sum(axis=0)
+            generation += 1
+        if stamp != generation:
+            free = free & ~refix_out
+            moved = free & refix_in
+            if moved.any():
+                on, free = on | moved, free & ~moved
+                mu_fold = mu_fold + mu_kept[moved].sum(axis=0)
+                load, fixed_part = fixed_sums(on, mu_fold)
 
-        weight_fixed = float(w_kept @ on)
-        if not fits_capacity(instance, weight_fixed, lambda _: offered(on)):
+        if not fits_capacity(instance, load, lambda _: offered(on)):
             continue
-        residual = capacity - weight_fixed
+        residual = capacity - load
         # a product that fits to rounding stays free for the integral check
         free = free & (w_kept - residual <= _CAPACITY_REL_TOL * capacity)
-        if not free.any():
+        free_idx = free.nonzero()[0]
+        if not free_idx.size:
             maybe_update(offered(on))
             continue
 
         # linearized objective with the fixed-on set folded in:
         # value(x) = fixed_part + sum over free offered of c_tilde + free-free mu
-        fixed_part = float(lin_kept @ on) + 0.5 * float(on @ mu_fold)
-        free_idx = np.flatnonzero(free)
         c_tilde = lin_kept[free_idx] + mu_fold[free_idx]
-        majorant_free, fill = _fractional_knapsack(
-            c_tilde, w_kept[free_idx], residual, exponents
+        w_free = w_kept[free_idx]
+        majorant_free, taken, fractional, fraction = _fractional_knapsack(
+            c_tilde, w_free, residual, exponents
         )
         majorant = fixed_part + majorant_free
         bound = min(bound, majorant * (1 + _MAJORANT_SAFETY))
@@ -706,25 +736,29 @@ def branch_and_bound(
         if bound <= inc_a * (1 - _TIE_REL_TOL) * (1 + _MAJORANT_SAFETY):
             continue
 
-        # the fill has at most one fractional product; an integral fill
-        # branches on the first free product
-        fractionality = np.minimum(fill, 1.0 - fill)
-        pick = int(np.argmax(fractionality))
-        if fractionality[pick] <= _INTEGRALITY_TOL:
-            filled = free_idx[fill > 0.5]
+        # the fill has at most one fractional product; a fill integral to
+        # the tolerance is checked as an assortment, and one with no
+        # fractional product branches on the first free product
+        fractionality = min(fraction, 1.0 - fraction)
+        if fractionality <= _INTEGRALITY_TOL:
+            filled = taken if fraction <= 0.5 else np.append(taken, fractional)
             on_filled = on.copy()
-            on_filled[filled] = True
+            on_filled[free_idx[filled]] = True
             x_int = offered(on_filled)
-            load = weight_fixed + float(w_kept[filled].sum())
-            if fits_capacity(instance, load, lambda _: x_int):
+            if fits_capacity(instance, load + float(w_free[filled].sum()), lambda _: x_int):
                 maybe_update(x_int)
 
-        branch_var = free_idx[pick]
+        branch_var = int(free_idx[fractional if fractionality > 0.0 else 0])
         child_on, child_free = on.copy(), free.copy()
         child_on[branch_var], child_free[branch_var] = True, False
-        stack.append((on, child_free, bound, mu_fold))
-        stack.append((child_on, child_free, bound, mu_fold + mu_kept[branch_var]))
+        stack.append((on, child_free, bound, mu_fold, load, fixed_part, generation))
+        stack.append((child_on, child_free, bound, mu_fold + mu_kept[branch_var],
+                      load + w_kept.item(branch_var),
+                      fixed_part + lin_kept.item(branch_var) + mu_fold.item(branch_var),
+                      generation))
 
+    stats.refixed_in = int(np.count_nonzero(refix_in & ~root_on))
+    stats.refixed_out = int(np.count_nonzero(refix_out))
     upper = inc_a
     if stopped:
         upper = max(inc_a, min(lp.objective_value, max(node[2] for node in stack)))

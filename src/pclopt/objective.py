@@ -128,7 +128,7 @@ def ratio_order(values, weights, exponents=None) -> np.ndarray:
     """Item indices by value/weight descending, ties to the smaller index:
     the order of the knapsack fills (lin_costs) and the heuristics (theta).
     ``exponents`` is passed on to ``ratio_key``."""
-    return np.argsort(ratio_key(values, weights, exponents), kind="stable")
+    return ratio_key(values, weights, exponents).argsort(kind="stable")
 
 
 def a_value(instance: Instance, x) -> float:

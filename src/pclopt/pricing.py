@@ -79,9 +79,11 @@ def optimal_uniform_price(instance: Instance, x) -> tuple[float, float]:
 class SolveStats:
     """Search effort behind an answer: branch-and-bound nodes (brute force
     counts the 2^n assortments), root LP solves and their simplex
-    iterations, summed over the restricted LPs, and the products the root
-    LP's reduced costs fixed in and out at the root, against the starting
-    incumbent; products re-fixed during the search are not counted.
+    iterations, summed over the restricted LPs, the products the root LP's
+    reduced costs fixed in and out at the root, against the starting
+    incumbent, and those the search's last re-fix, against its best
+    incumbent, fixed in and out beyond them (0 when the incumbent never
+    rises).
     Heuristic answers set ``improvement_count`` (GRASP also
     ``construction_rcl``) and serialize those in place of the search
     counts.  Heuristics and the LP bound leave ``wall_time_s`` at 0, so
@@ -92,6 +94,8 @@ class SolveStats:
     lp_iterations: int = 0
     fixed_in: int = 0
     fixed_out: int = 0
+    refixed_in: int = 0
+    refixed_out: int = 0
     wall_time_s: float = 0.0
     construction_rcl: int | None = None
     improvement_count: int | None = None
@@ -109,6 +113,8 @@ class SolveStats:
             "lp_iterations": self.lp_iterations,
             "fixed_in": self.fixed_in,
             "fixed_out": self.fixed_out,
+            "refixed_in": self.refixed_in,
+            "refixed_out": self.refixed_out,
             "wall_time_s": self.wall_time_s,
         }
 

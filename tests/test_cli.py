@@ -488,6 +488,55 @@ def test_solve_malformed_instance(tmp_path, capsys):
     assert envelope["path"] == "weights[1]"
 
 
+# one field of a valid n = 4 instance made invalid, as (field, how)
+_SCALAR_FIELDS = ("n", "capacity", "beta")
+_ARRAY_FIELDS = ("alpha", "weights", "gamma_upper")
+_WRONG_TYPES = ("4", True, None, {"value": 4}, [])
+
+
+@st.composite
+def _broken_instance(draw):
+    data = Instance(n=4, alpha=[0.1, -0.2, 0.3, 0.0], weights=[1.0, 2.0, 1.5, 0.5],
+                    capacity=2.0, beta=0.1, gamma_upper=[0.5] * 6).to_dict()
+    how = draw(st.sampled_from(["wrong type", "dropped", "wrong length", "negative weight",
+                                "nonpositive gamma"]))
+    if how == "wrong type":
+        field = draw(st.sampled_from(_SCALAR_FIELDS + _ARRAY_FIELDS))
+        # a number where an array belongs, a list where a number does
+        extra = (2.5,) if field == "n" else (1.0,) if field in _ARRAY_FIELDS else ([1.0],)
+        data[field] = draw(st.sampled_from(_WRONG_TYPES + extra + (["1"] * 4,)))
+    elif how == "dropped":
+        field = draw(st.sampled_from(_SCALAR_FIELDS + _ARRAY_FIELDS))
+        del data[field]
+    elif how == "wrong length":
+        field = draw(st.sampled_from(_ARRAY_FIELDS))
+        data[field] = data[field][:-1] if draw(st.booleans()) else data[field] + [0.5]
+    else:
+        field = "weights" if how == "negative weight" else "gamma_upper"
+        k = draw(st.integers(0, len(data[field]) - 1))
+        data[field][k] = -draw(st.floats(1e-300 if field == "weights" else 0.0, 1e300))
+    return field, data
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(broken=_broken_instance(), command=st.sampled_from(["solve", "evaluate"]))
+def test_an_invalid_instance_is_one_envelope(tmp_path, capsys, broken, command):
+    field, data = broken
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    argv = (["solve", "--instance", str(path), "--method", "greedy"] if command == "solve" else
+            ["evaluate", "--instance", str(path), "--prices", "[5, 5, 5, 5]",
+             "--assortment", "[1, 0, 1, 0]"])
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == "" and "Traceback" not in err, (code, out, err)
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    envelope = json.loads(lines[0])
+    assert envelope["code"] == "invalid-instance", envelope
+    assert envelope["path"] == field or envelope["path"].startswith(field + "["), envelope
+
+
 def test_evaluate_inline_and_file_vectors(tmp_path, capsys):
     path = write_instance(tmp_path, capsys, n=4)
     instance = json.loads(path.read_text())

@@ -30,9 +30,9 @@ from pclopt import (
 )
 
 import pclopt.exact
-from pclopt.exact import (_DUALITY_GAP_REL_TOL, _fractional_knapsack, _lp_matrix,
-                          _pass_model, _reduced_cost_fixing, _refined_duals, _solve_highs,
-                          _transposed_product, _weak_duality_bound, highs)
+from pclopt.exact import (_DUALITY_GAP_REL_TOL, _fractional_knapsack, _knapsack_fill,
+                          _lp_matrix, _pass_model, _reduced_cost_fixing, _refined_duals,
+                          _solve_highs, _transposed_product, _weak_duality_bound, highs)
 
 from conftest import (
     assert_matches_all_pairs_lp,
@@ -290,7 +290,8 @@ def test_start_basis_is_accepted_on_edge_fills(case, inst, capacity_status):
     lps = _recorded_lps(inst)
     assert lps
     basic = highs.HighsBasisStatus.kBasic
-    _, fill = _fractional_knapsack(coefficients(inst).lin_costs, inst.weights, inst.capacity)
+    fill = _knapsack_fill(inst.n, *_fractional_knapsack(coefficients(inst).lin_costs,
+                                                         inst.weights, inst.capacity)[1:])
     for cost, a_ub, b_ub, basis in lps:
         assert len(basis.col_status) == cost.size and len(basis.row_status) == b_ub.size
         assert basis.row_status[0] == getattr(highs.HighsBasisStatus, capacity_status)
@@ -491,8 +492,12 @@ def test_fractional_knapsack_matches_the_full_sort(m, seed, ties, nonpositive, s
     drop = rng.random(m) < nonpositive
     values[drop] = rng.choice([0.0, -1.0, -scale], drop.sum())
     capacity = room * float(weights.sum())
-    total, fill = _fractional_knapsack(values, weights, capacity)
+    total, taken, fractional, fraction = _fractional_knapsack(values, weights, capacity)
     expected_total, expected_fill = reference_fractional_knapsack(values, weights, capacity)
+    # the items taken whole and the one taken in part, spread over the
+    # items, are the reference's fill
+    assert np.unique(taken).size == taken.size and fractional not in taken.tolist()
+    fill = _knapsack_fill(m, taken, fractional, fraction)
     assert (np.float64(total).tobytes(), fill.tobytes()) == (
         np.float64(expected_total).tobytes(), expected_fill.tobytes())
 
@@ -661,7 +666,7 @@ def test_result_serialization():
     assert payload["status"] == "optimal"
     assert payload["assortment"] == result.assortment.tolist()
     assert set(payload["stats"]) == {"nodes", "lp_solves", "lp_iterations", "fixed_in",
-                                     "fixed_out", "wall_time_s"}
+                                     "fixed_out", "refixed_in", "refixed_out", "wall_time_s"}
 
 
 # (n, kappa, index, node_budget) -> (status, nodes, offered, a_value, upper_bound)
@@ -703,6 +708,15 @@ PINNED_SEARCHES = [
 ]
 
 
+# (n, kappa, index, node_budget) -> (refixed_in, refixed_out) of the same
+# searches: at n = 400 the incumbent rises and re-fixing fixes 4 more
+# products each way; at n = 1000 it never rises, so nothing is re-fixed
+PINNED_REFIXING = {
+    (400, 0.04, 0, 2000): (4, 4),
+    (1000, 0.04, 0, 2000): (0, 0),
+}
+
+
 @pytest.mark.parametrize(
     "cell, expected", PINNED_SEARCHES, ids=[f"{c[0]}-{c[1]}-{c[2]}" for c, _ in PINNED_SEARCHES]
 )
@@ -713,12 +727,23 @@ def test_branch_and_bound_search_is_pinned(cell, expected):
         GeneratorConfig(n=n, kappa=kappa, seed=derive_seed(0, n, kappa, index))
     )
     seeded = grasp(inst, GraspConfig(seed=derive_seed(0, n, kappa, index, "grasp")))
-    result = branch_and_bound(inst, BranchBoundConfig(node_budget=node_budget), seeded.assortment)
+    lp = lp_relaxation(inst)
+    result = branch_and_bound(inst, BranchBoundConfig(node_budget=node_budget),
+                              seeded.assortment, lp)
     assert result.status == status
     assert result.stats.nodes == nodes
     assert np.flatnonzero(result.assortment).tolist() == offered
     assert result.a_value == a_value_expected
     assert result.upper_bound == pytest.approx(upper_expected, rel=1e-12, abs=0.0)
+    if cell in PINNED_REFIXING:
+        stats = result.stats
+        assert (stats.refixed_in, stats.refixed_out) == PINNED_REFIXING[cell]
+        # the last re-fix ran against the final incumbent: root and
+        # re-fixed counts together are the fixing against its A
+        fixed_in, fixed_out = _reduced_cost_fixing(lp.dual_bound, lp.reduced_costs,
+                                                   result.a_value)
+        assert (stats.fixed_in + stats.refixed_in, stats.fixed_out + stats.refixed_out) == (
+            np.count_nonzero(fixed_in), np.count_nonzero(fixed_out))
 
 
 def test_grasp_and_search_never_hold_a_dense_mu():
