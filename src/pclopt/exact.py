@@ -17,11 +17,16 @@ Three routes to the optimum / bounds on it:
   (``_solve_highs``), with linprog's options but not its wrapper, and its
   dual simplex starts from the basis of the fractional-knapsack fill
   (``_start_basis``), near the LP optimum, not from the all-slack basis
-  linprog starts from.  The binding is loaded from its file
-  (``_load_highs``), so importing pclopt imports neither scipy.optimize
-  nor scipy.sparse: the matrix is built as CSC arrays in numpy
-  (``_lp_matrix``), the same arrays scipy.sparse would hold.  Its answer carries the dual certificate of its bound: the
-  row duals, the reduced costs of x and the weak-duality value.
+  linprog starts from.  That basis is primal feasible, and its duals
+  already price the products the fill leaves out (``_credit_rows``), so
+  it is close to dual feasible too: at n = 1000 (kappa 0.02-0.06, master
+  seed 0, indices 0-3) the dual simplex takes 0-320 iterations where the
+  all-slack start takes 2,349-14,646.  The binding is loaded from its
+  file (``_load_highs``), so importing pclopt imports neither
+  scipy.optimize nor scipy.sparse: the matrix is built as CSC arrays in
+  numpy (``_lp_matrix``), the same arrays scipy.sparse would hold.  Its
+  answer carries the dual certificate of its bound: the row duals, the
+  reduced costs of x and the weak-duality value.
 * ``lp_bound_answer`` is the bound-only answer: no assortment, the LP
   bound as ``upper_bound``, priced as if that A were attained, which gives
   ``revenue_upper_bound``.
@@ -66,10 +71,11 @@ import numpy as np
 import scipy
 
 from .heuristics import grasp, greedy  # noqa: F401 -- unused; the benchmark's tracer patches them
-from .instance import (_CAPACITY_REL_TOL, Instance, fits_capacity, is_feasible, pair_positions,
-                       tie_break_prefer, validate_assortment)
+from .instance import (_CAPACITY_REL_TOL, Instance, fits_capacity, is_feasible, pair_position,
+                       pair_positions, tie_break_prefer, validate_assortment)
 from .objective import a_value, coefficients, ratio_order, weight_exponents
-from .pricing import SolveResult, SolveStats, optimal_uniform_price, price_for_a
+# optimal_uniform_price is unused; the benchmark's tracer patches it
+from .pricing import SolveResult, SolveStats, optimal_uniform_price, price_for_a  # noqa: F401
 
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
 
@@ -152,6 +158,7 @@ _HIGHS_OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
 _DUALITY_GAP_REL_TOL = 1e-13
 _BASIS_STATUS = np.array([highs.HighsBasisStatus.kLower, highs.HighsBasisStatus.kBasic,
                           highs.HighsBasisStatus.kUpper], dtype=object)
+_NO_ROWS = np.zeros(0, dtype=np.intp)
 
 
 class InstanceTooLarge(ValueError):
@@ -200,13 +207,14 @@ class BranchBoundConfig:
             raise ValueError("time_budget_s must be finite and nonnegative")
 
 
-def _fractional_knapsack(values, weights, capacity, exponents=None):
+def _fractional_knapsack(values, weights, capacity, exponents=None, order=None):
     """Relaxed knapsack over [0,1] items: fill by value/weight ratio.
 
     Items with nonpositive value are left at zero.  The fill runs down
     ``ratio_order``, one stable sort of every item (``exponents`` is passed
-    on to ``ratio_key``), so the items it takes whole are a prefix of that
-    order.  Returns (optimum, taken, fractional, fraction): their
+    on to ``ratio_key``), or down ``order``, a caller's copy of that order
+    for nonnegative ``values``, so the items it takes whole are a prefix of
+    that order.  Returns (optimum, taken, fractional, fraction): their
     positions, and the position of the one item taken in part with its
     fraction, or (None, 0.0).  The sum runs over Python floats, so an
     overflowing optimum is a silent inf, which pricing refuses.
@@ -214,7 +222,8 @@ def _fractional_knapsack(values, weights, capacity, exponents=None):
     if values.size == 0 or capacity <= 0:
         return 0.0, np.zeros(0, dtype=np.intp), None, 0.0
     values = np.maximum(values, 0.0)
-    order = ratio_order(values, weights, exponents)
+    if order is None:
+        order = ratio_order(values, weights, exponents)
     total = 0.0
     remaining = capacity
     count = 0
@@ -319,26 +328,94 @@ def _refined_duals(cost, a_ub, u, z) -> np.ndarray:
     return refined
 
 
-def _start_basis(fill, pair_i, pair_j):
-    """The restricted LP's start basis at the knapsack fill ``fill``, whose
-    pair rows join products ``pair_i`` and ``pair_j``.
+def _credit_rows(fill, cost, weights, positions, pair_i, pair_j, both, f, left_out):
+    """The restricted LP's pair rows, by index, whose y ``_start_basis``
+    makes basic at 0 so that its duals price the products the fill leaves
+    out.
+
+    All in the units of the LP passed to HiGHS: ``cost`` is -(lin, mu) and
+    ``weights`` the capacity row; ``positions`` are the rows' pairs in the
+    pair storage, sorted, and ``both`` the product of the fills of each
+    row's ends: 1 on the rows among products taken whole, f's fraction on
+    those from the fractional product f to them, 0 elsewhere.  The fill's
+    basis prices capacity at f's marginal gain per unit weight, lambda: its
+    linear cost plus its mu to the products taken whole, over its weight.
+    A product of ``left_out`` whose cost exceeds lambda w_k has that excess
+    as a positive reduced cost.  Its row to a taken product j is tight, so
+    y_kj may be basic there at 0, and then the row's dual -mu_kj credits k.
+    Each k draws its rows most negative mu first, until the credit covers
+    its excess.  A taken product j keeps its own slack, its reduced cost
+    gain_j - lambda w_j, nonnegative: a row whose credit alone exceeds it
+    is passed over, and the credit drawn from j's rows, in ``left_out``'s
+    order, stops there.  With a lambda past the float range no row is
+    drawn.
+    """
+    n = fill.size
+    credit = cost[n:]
+    # f's rows to the taken products are those whose fill product is f's
+    # fraction; Python floats: a quotient past the float range is a silent inf
+    lam = (-float(cost[f]) - float(credit @ ((both > 0.0) & (both < 1.0)))) / float(weights[f])
+    # left_out comes in ratio order, so its first product has the largest
+    # excess ratio; the weights are below 2, so lam w stays in the float
+    # range when 2 lam does
+    if not (left_out.size and positions.size and math.isfinite(2.0 * lam)
+            and -cost[left_out[0]] > lam * weights[left_out[0]]):
+        return _NO_ROWS
+    # each product's reduced cost at the fill's basis, before any credit:
+    # a left-out one's excess, and a taken one's slack, which also counts
+    # its mu on the tight rows
+    slack = -cost[:n] - lam * weights
+    excess = slack[left_out]
+    needy, excess = left_out[excess > 0.0], excess[excess > 0.0]
+    taken = np.flatnonzero(fill >= 1.0)
+    tight_credit = credit * (both > 0.0)
+    slack = slack[taken] - (np.bincount(pair_i, tight_credit, n)
+                            + np.bincount(pair_j, tight_credit, n))[taken]
+    # the block of rows joining each needy k to each taken j, and its
+    # credits; 0 where the LP has no row for the pair (mu = 0) and where
+    # the credit alone exceeds j's slack
+    pairs = pair_position(n, np.minimum.outer(needy, taken), np.maximum.outer(needy, taken))
+    rows = np.minimum(np.searchsorted(positions, pairs), positions.size - 1)
+    block = credit[rows] * ((positions[rows] == pairs) & (credit[rows] <= slack))
+    # each k draws its largest credits while those before fall short
+    k = np.arange(needy.size)[:, None]
+    order = (-block).argsort(axis=1, kind="stable")
+    ranked = block[k, order]
+    drawn = np.zeros(block.shape, dtype=bool)
+    drawn[k, order] = (ranked.cumsum(axis=1) - ranked < excess[:, None]) & (ranked > 0.0)
+    # each j keeps the draws its slack covers, k by k
+    return rows[drawn & ((block * drawn).cumsum(axis=0) <= slack)]
+
+
+def _start_basis(fill, fractional, cost, weights, positions, pair_i, pair_j, left_out):
+    """The restricted LP min cost'z over capacity row ``weights`` and pair
+    rows joining products ``pair_i`` and ``pair_j`` (at ``positions`` in the
+    pair storage): its start basis at the knapsack fill ``fill``, whose
+    fractional product is ``fractional`` (or None) and which leaves out the
+    products ``left_out`` of those rows, in ratio order.
 
     x_k is at its upper bound where fill = 1, basic where it is fractional
     and at its lower bound where it is 0.  A pair whose ends both have
     positive fill has y basic, at x_i + x_j - 1 in [0, 1], and its row
-    tight; every other y is at 0 with its row's slack basic.  The capacity
-    row is tight when the fill has a fractional product and basic
-    otherwise.  Each row has one basic variable of its own, the fractional
-    x that of the capacity row, so the basis is triangular, hence
-    nonsingular, and it is primal feasible.
+    tight; so has each row ``_credit_rows`` draws, y_kj at 0 on a row
+    tight anyway, so that the basis's duals price the left-out products.
+    Every other y is at 0 with its row's slack basic.  The capacity row is
+    tight when the fill has a fractional product and basic otherwise.  Each
+    row has one basic variable of its own, the fractional x that of the
+    capacity row, so the basis is triangular, hence nonsingular, and its
+    basic solution is the fill, primal feasible.
     """
     # status codes index _BASIS_STATUS: 0 lower, 1 basic, 2 upper
-    both = (fill[pair_i] > 0.0) & (fill[pair_j] > 0.0)
-    x_status = (fill > 0.0).astype(np.int64) + (fill >= 1.0)
-    capacity_status = 2 if np.any(x_status == 1) else 1
+    both = fill[pair_i] * fill[pair_j]
+    y_basic = both > 0.0
+    x_status = (fill > 0.0).view(np.int8) + (fill >= 1.0)
+    if fractional is not None:
+        y_basic[_credit_rows(fill, cost, weights, positions, pair_i, pair_j, both,
+                             fractional, left_out)] = True
+    capacity_status = _BASIS_STATUS[1 if fractional is None else 2]
     basis = highs.HighsBasis()
-    basis.col_status = _BASIS_STATUS[np.concatenate([x_status, both])].tolist()
-    basis.row_status = _BASIS_STATUS[np.concatenate([[capacity_status], 1 + both])].tolist()
+    basis.col_status = _BASIS_STATUS[np.concatenate([x_status, y_basic])].tolist()
+    basis.row_status = [capacity_status] + _BASIS_STATUS[1 + y_basic.view(np.int8)].tolist()
     # a basis HiGHS checks for one basic per row instead of repairing it
     basis.alien = False
     return basis
@@ -402,10 +479,12 @@ def lp_relaxation(instance: Instance) -> LpSolution:
     products with positive x can violate their row, so the scan and y_frac
     cost O(p^2) for p such products.  Each restricted LP is built in CSC
     form and solved by ``_solve_highs`` from ``_start_basis`` at the
-    knapsack fill: at n = 1000 that takes hundreds of simplex iterations
-    where the all-slack start takes thousands.  Without the basis the
-    binding returns linprog's answer bit for bit, which is how the tests
-    tie it to linprog; with it, an optimal vertex of the same LP.
+    knapsack fill, whose duals price the products the fill leaves out: on
+    n = 1000, kappa = 0.04 (master seed 0, indices 0-3) that takes 31-206
+    simplex iterations where the fill's basis without those prices took
+    328-979 and the all-slack start takes 6,030-7,784.  Without the basis
+    the binding returns linprog's answer bit for bit, which is how the
+    tests tie it to linprog; with it, an optimal vertex of the same LP.
 
     The reported objective is the canonical full one at x, unless HiGHS's
     duals, as returned and refined on its basis, both bound the LP above
@@ -423,9 +502,12 @@ def lp_relaxation(instance: Instance) -> LpSolution:
     order = ratio_order(lin_costs, instance.weights)
     rank = np.empty(n, dtype=int)
     rank[order] = np.arange(n)
-    fill = _knapsack_fill(n, *_fractional_knapsack(lin_costs, instance.weights,
-                                                    instance.capacity)[1:])
-    prefix = math.ceil(_SEED_PREFIX_FACTOR * np.count_nonzero(fill))
+    _, taken, fractional, fraction = _fractional_knapsack(lin_costs, instance.weights,
+                                                          instance.capacity, order=order)
+    fill = _knapsack_fill(n, taken, fractional, fraction)
+    # the fill offers a prefix of the ratio order
+    support = taken.size + (fractional is not None)
+    prefix = math.ceil(_SEED_PREFIX_FACTOR * support)
     # HiGHS gives up or returns a wrong vertex on costs far from 1, so the
     # largest cost is scaled into [1, 2) by a power of two: every mantissa
     # and the optimal vertex are kept, and ldexp takes subnormal costs too.
@@ -433,6 +515,8 @@ def lp_relaxation(instance: Instance) -> LpSolution:
     # entries from 1e15 and drops those below 1e-9
     exponent = 1 - np.frexp(lin_costs.max())[1]
     row_exponent = 1 - np.frexp(instance.weights.max())[1]
+    row_weights = np.ldexp(instance.weights, row_exponent)
+    row_capacity = np.ldexp(instance.capacity, row_exponent)
 
     solves = iterations = 0
     for _ in range(mu.size + 2):
@@ -440,9 +524,12 @@ def lp_relaxation(instance: Instance) -> LpSolution:
         sel = np.sort(seeded[mu[seeded] < 0.0])
         k = sel.size
         cost = np.ldexp(np.concatenate([-lin_costs, -mu[sel]]), exponent)
-        a_ub = _lp_matrix(np.ldexp(instance.weights, row_exponent), I[sel], J[sel])
-        b_ub = np.concatenate([[np.ldexp(instance.capacity, row_exponent)], np.ones(k)])
-        z, row_dual, steps = _solve_highs(cost, a_ub, b_ub, _start_basis(fill, I[sel], J[sel]))
+        pair_i, pair_j = I[sel], J[sel]
+        a_ub = _lp_matrix(row_weights, pair_i, pair_j)
+        b_ub = np.concatenate([[row_capacity], np.ones(k)])
+        basis = _start_basis(fill, fractional, cost, row_weights, sel, pair_i, pair_j,
+                             order[support:prefix])
+        z, row_dual, steps = _solve_highs(cost, a_ub, b_ub, basis)
         solves += 1
         iterations += steps
         x = z[:n]
@@ -555,7 +642,7 @@ def brute_force_oracle(instance: Instance) -> SolveResult:
         if a > best_a or (a == best_a and tie_break_prefer(x, best_x)):
             best_x, best_a = x, a
 
-    price, revenue = optimal_uniform_price(instance, best_x)
+    price, revenue = price_for_a(best_a, instance.beta)
     return SolveResult(
         assortment=best_x,
         a_value=best_a,
@@ -763,7 +850,7 @@ def branch_and_bound(
     if stopped:
         upper = max(inc_a, min(lp.objective_value, max(node[2] for node in stack)))
     status = "feasible" if stopped else "optimal"
-    price, revenue = optimal_uniform_price(instance, inc_x)
+    price, revenue = price_for_a(inc_a, instance.beta)
     stats.wall_time_s = time.perf_counter() - t0
     return SolveResult(
         assortment=inc_x,

@@ -184,8 +184,14 @@ class Instance:
 
 
 def validate_assortment(instance: Instance, x: Iterable) -> np.ndarray:
-    """Coerce x to a 0/1 integer vector of length n."""
-    arr = np.asarray(x)
+    """Coerce x to a 0/1 integer vector of length n.  A list holding a
+    boolean is refused, as ``validate_prices`` refuses one."""
+    if isinstance(x, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in x):
+        raise ValidationError("assortment entries must be 0 or 1, not booleans", "assortment")
+    try:
+        arr = np.asarray(x)
+    except ValueError as exc:  # a ragged nested list
+        raise ValidationError("assortment must be a flat vector", "assortment") from exc
     if arr.shape != (instance.n,):
         raise ValidationError(
             f"assortment must have length {instance.n}", "assortment"

@@ -112,7 +112,9 @@ def ratio_key(values, weights, exponents=None) -> np.ndarray:
     span more than 2^(2043 - _RATIO_KEY_BITS), which no single scale serves.
     """
     e_wmin, e_wmax = weight_exponents(weights) if exponents is None else exponents
-    e_v = math.frexp(float(values.max()))[1]
+    # the ufunc's own reduce skips the Python-level wrapper of values.max(),
+    # a fixed cost paid once per branch-and-bound node
+    e_v = math.frexp(float(np.maximum.reduce(values)))[1]
     # a key below 2^(e_v + s - e_wmin + 1) rounds to at most 2^1023, and
     # the scaled values stay below 2^1024
     s_hi = min(1022 + e_wmin, 1024) - e_v

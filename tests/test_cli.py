@@ -624,6 +624,32 @@ def test_evaluate_rejects_bad_vector(tmp_path, capsys):
     assert json.loads(err)["code"] == "invalid-instance"
 
 
+# bad --prices / --assortment vectors for an n = 4 instance, as typed
+_BAD_VECTORS = {
+    "prices": ["[5, 5, 5]", "[5, -1, 5, 5]", "[5, NaN, 5, 5]", "[5, 1e400, 5, 5]",
+               "[5, true, 5, 5]", '[5, "5", 5, 5]', "[[5, 5], [5, 5]]", "[[5], 5, 5, 5]",
+               "[5, 5, 5"],
+    "assortment": ["[1, 0, 1]", "[1, -1, 1, 0]", "[1, NaN, 1, 0]", "[1, 1e400, 1, 0]",
+                   "[true, false, true, false]", '[1, "0", 1, 0]', "[[1, 0], [1, 0]]",
+                   "[[1], 0, 1, 0]", "[1, 2, 1, 0]", "[1, 0.5, 1, 0]", "[1, 0, 1"],
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+@pytest.mark.parametrize("field, vector", [
+    (field, vector) for field, vectors in _BAD_VECTORS.items() for vector in vectors])
+def test_a_bad_vector_is_one_envelope(tmp_path, capsys, command, field, vector):
+    path = write_instance(tmp_path, capsys, n=4)
+    flags = {"prices": "[5, 5, 5, 5]", "assortment": "[1, 0, 1, 0]", field: vector}
+    code, out, err = run_cli([command, "--instance", str(path), "--prices", flags["prices"],
+                              "--assortment", flags["assortment"]], capsys)
+    assert code == 2 and out == "" and "Traceback" not in err, (code, out, err)
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    envelope = json.loads(lines[0])
+    assert envelope["path"] == field or envelope["path"].startswith(field + "["), envelope
+
+
 def test_simulate_deterministic(tmp_path, capsys):
     path = write_instance(tmp_path, capsys, n=5)
     argv = ["simulate", "--instance", str(path), "--prices", "[2,2,2,2,2]",

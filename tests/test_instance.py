@@ -157,7 +157,11 @@ def test_validated_assortment_is_an_int8_copy():
     x = np.array([1, 0, 1], dtype=np.int8)
     checked = validate_assortment(inst, x)
     assert checked.dtype == np.int8 and checked is not x
-    assert validate_assortment(inst, [1.0, 0.0, True]).tolist() == [1, 0, 1]
+    assert validate_assortment(inst, [1.0, 0.0, 1]).tolist() == [1, 0, 1]
+    # a boolean among the entries is refused, as among prices
+    with pytest.raises(ValidationError) as err:
+        validate_assortment(inst, [1.0, 0.0, True])
+    assert err.value.path == "assortment"
 
 
 def test_feasibility_is_the_capacity_check():
