@@ -244,7 +244,6 @@ def run_experiment(
     beta: float = 0.1,
     integer_weights: bool = False,
     grasp_rcl_max: int = 5,
-    grasp_max_iter: int = 80,
     node_budget: int | None = 50_000,
     time_budget_s: float | None = None,
     log_path=None,
@@ -284,7 +283,7 @@ def run_experiment(
             cells.append(GeneratorConfig(n, kappa, 0, beta, integer_weights))
         except ValueError as exc:  # named as the grid entry n:kappa
             raise ValueError(f"grid entry {n}:{kappa:g}: {exc}") from exc
-    grasp_config = GraspConfig(grasp_rcl_max, grasp_max_iter)
+    grasp_config = GraspConfig(grasp_rcl_max)
     bb_config = BranchBoundConfig(node_budget=node_budget, time_budget_s=time_budget_s)
     if not methods:
         return []

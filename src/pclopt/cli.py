@@ -63,7 +63,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--method", required=True,
                    choices=["exact", "brute-force", "greedy", "grasp", "lp-bound"])
     p.add_argument("--rcl-max", type=int, default=5)
-    p.add_argument("--max-iter", type=int, default=80)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget-seconds", type=float, default=None)
     p.add_argument("--node-budget", type=int, default=None)
@@ -96,7 +95,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--node-budget", type=int, default=50_000)
     p.add_argument("--integer-weights", action="store_true")
     p.add_argument("--rcl-max", type=int, default=5)
-    p.add_argument("--max-iter", type=int, default=80)
     p.add_argument("--jobs", type=int, default=1)
     return parser
 
@@ -155,7 +153,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     # bad solver flags are refused, whatever the method, before any work
-    grasp_config = GraspConfig(args.rcl_max, args.max_iter, args.seed)
+    grasp_config = GraspConfig(args.rcl_max, args.seed)
     bb_config = BranchBoundConfig(args.node_budget, args.budget_seconds)
     instance = _load_instance(args.instance)
     t0 = time.perf_counter()
@@ -256,7 +254,6 @@ def _cmd_bench(args) -> int:
         args.seed,
         integer_weights=args.integer_weights,
         grasp_rcl_max=args.rcl_max,
-        grasp_max_iter=args.max_iter,
         node_budget=args.node_budget,
         time_budget_s=args.budget_seconds,
         log_path=log_path,

@@ -167,7 +167,7 @@ class InstanceTooLarge(ValueError):
 
 @dataclass
 class LpSolution:
-    """The LP optimum (x, y), its objective, the HiGHS solves it took and
+    """The LP optimum x, its objective, the HiGHS solves it took and
     their simplex iterations, with the dual certificate of the last
     restricted LP, unscaled: the pair positions of its pair rows and their
     duals (every other pair row's dual is 0), the reduced costs of x and
@@ -183,7 +183,6 @@ class LpSolution:
     """
 
     x_frac: np.ndarray
-    y_frac: np.ndarray
     objective_value: float
     lp_solves: int
     simplex_iterations: int
@@ -447,21 +446,28 @@ def _solve_highs(cost, a_ub, b_ub, basis=None) -> tuple[np.ndarray, np.ndarray, 
     ``_start_basis``) when given, else from the all-slack basis, as linprog
     does: without a basis the answer is linprog's bit for bit.  A fresh
     solver per call carries no state between solves, so a call repeats
-    bit for bit.  A basis HiGHS refuses, or any status but optimal, raises
-    RuntimeError.
+    bit for bit.  A basis HiGHS refuses raises RuntimeError.  From a basis,
+    HiGHS may stop short of optimal (status Unknown, a dual infeasibility
+    left once it removes its cost perturbation): the LP is then solved
+    again from the all-slack basis, both solves' iterations counted, and
+    any status but optimal there raises RuntimeError.
     """
     solver = highs._Highs()
     solver.passOptions(_HIGHS_OPTIONS)
     _pass_model(solver, cost, a_ub, b_ub)
     if basis is not None and solver.setBasis(basis) == highs.HighsStatus.kError:
         raise RuntimeError("LP solve failed: HiGHS refused the start basis")
-    if (solver.run() == highs.HighsStatus.kError
-            or solver.getModelStatus() != highs.HighsModelStatus.kOptimal):
-        status = solver.modelStatusToString(solver.getModelStatus())
-        raise RuntimeError(f"LP solve failed: {status}")
+    failed = solver.run() == highs.HighsStatus.kError
+    iterations = solver.getInfo().simplex_iteration_count
+    if failed or solver.getModelStatus() != highs.HighsModelStatus.kOptimal:
+        if basis is None:
+            status = solver.modelStatusToString(solver.getModelStatus())
+            raise RuntimeError(f"LP solve failed: {status}")
+        del solver  # freed first: both alive at once took 13 MB more at n = 1000
+        z, row_dual, cold = _solve_highs(cost, a_ub, b_ub)
+        return z, row_dual, iterations + cold
     solution = solver.getSolution()
-    return (np.array(solution.col_value), np.array(solution.row_dual),
-            solver.getInfo().simplex_iteration_count)
+    return np.array(solution.col_value), np.array(solution.row_dual), iterations
 
 
 def lp_relaxation(instance: Instance) -> LpSolution:
@@ -476,15 +482,16 @@ def lp_relaxation(instance: Instance) -> LpSolution:
     it, the prefix grows to 1.25 times the ratio rank of the deepest
     violated product and the LP is solved again; when no uncovered pair is
     violated, the restricted optimum is the full LP optimum.  Only pairs of
-    products with positive x can violate their row, so the scan and y_frac
-    cost O(p^2) for p such products.  Each restricted LP is built in CSC
-    form and solved by ``_solve_highs`` from ``_start_basis`` at the
-    knapsack fill, whose duals price the products the fill leaves out: on
-    n = 1000, kappa = 0.04 (master seed 0, indices 0-3) that takes 31-206
-    simplex iterations where the fill's basis without those prices took
-    328-979 and the all-slack start takes 6,030-7,784.  Without the basis
-    the binding returns linprog's answer bit for bit, which is how the
-    tests tie it to linprog; with it, an optimal vertex of the same LP.
+    products with positive x can violate their row, so the scan and the
+    objective's mu terms cost O(p^2) for p such products.  Each restricted
+    LP is built in CSC form and solved by ``_solve_highs`` from
+    ``_start_basis`` at the knapsack fill, whose duals price the products
+    the fill leaves out: on n = 1000, kappa = 0.04 (master seed 0, indices
+    0-3) that takes 31-206 simplex iterations where the fill's basis
+    without those prices took 328-979 and the all-slack start takes
+    6,030-7,784.  Without the basis the binding returns linprog's answer bit
+    for bit, which is how the tests tie it to linprog; with it, an optimal
+    vertex of the same LP.
 
     The reported objective is the canonical full one at x, unless HiGHS's
     duals, as returned and refined on its basis, both bound the LP above
@@ -538,15 +545,13 @@ def lp_relaxation(instance: Instance) -> LpSolution:
         outside = np.maximum(rank[i], rank[j]) >= prefix
         violated = (mu[pos] < 0.0) & outside & (excess > 1e-12)
         if not violated.any():
-            y = np.zeros(mu.size)
-            y[pos] = np.maximum(0.0, excess)
             # HiGHS may stop on a reduced cost below its tolerance with x
             # short of the optimum; the weak-duality bound of its duals
             # never falls below it; when it lies past rounding, the duals
             # refined on the basis give the tighter of two valid bounds
             u = np.maximum(0.0, -row_dual)
             with np.errstate(over="ignore", invalid="ignore"):
-                objective = float(lin_costs @ x + mu @ y)
+                objective = float(lin_costs @ x + mu[pos] @ np.maximum(0.0, excess))
                 dual, reduced = _weak_duality_bound(cost, a_ub, b_ub, u, exponent)
                 if dual - objective > _DUALITY_GAP_REL_TOL * abs(objective):
                     refined = _refined_duals(cost, a_ub, u, z)
@@ -560,7 +565,7 @@ def lp_relaxation(instance: Instance) -> LpSolution:
             # rounding can put the duals' bound a few ulps below the
             # objective at x; raising D to it keeps the certificate valid
             return LpSolution(
-                x_frac=x, y_frac=y, objective_value=objective, lp_solves=solves,
+                x_frac=x, objective_value=objective, lp_solves=solves,
                 simplex_iterations=iterations, pair_rows=sel,
                 pair_duals=np.ldexp(u[1:], -exponent), reduced_costs=reduced[:n],
                 dual_bound=max(dual, objective),

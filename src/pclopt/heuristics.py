@@ -4,14 +4,15 @@ One construction routine serves both heuristics.  It walks the products in
 theta_i / w_i order (bang per unit of display space) and repeatedly adds
 one of the first rcl products that still fit.  Greedy is that construction
 with rcl = 1.  GRASP runs it for restricted-candidate-list sizes
-1..rcl_max, follows each construction with a swap local search, and keeps
-the best assortment found.  Its rcl = 1 round is greedy followed by
-strictly improving swaps, so GRASP can never do worse than greedy.
+1..rcl_max, follows each construction with a local search to a local
+optimum (GRASP as Feo & Resende define it, J. Global Optim. 6, 1995), and
+keeps the best assortment found.  Its rcl = 1 round is greedy followed by
+strictly improving moves, so GRASP can never do worse than greedy.
 
-The local search carries each product's single-flip gain in A across its
-trials (the one-flip bookkeeping of binary quadratic local search), so a
-swap trial costs O(1) and an accepted swap O(n).  A round takes all its
-draws in one RNG call, from the same stream as one draw per pick.
+The local search is deterministic best improvement over add and swap
+moves, scored on the carried single-flip gain in A and the offered
+products' mu rows (the one-flip bookkeeping of binary quadratic local
+search): O(|S| n) per step.
 """
 
 from __future__ import annotations
@@ -20,26 +21,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import _CAPACITY_REL_TOL, Instance, fits_capacity, pair_index, tie_break_prefer
+from .instance import _CAPACITY_REL_TOL, Instance, fits_capacity, tie_break_prefer
 from .objective import a_value, coefficients, ratio_order
 # optimal_uniform_price is unused; the benchmark's tracer patches it
 from .pricing import SolveResult, SolveStats, optimal_uniform_price, price_for_a  # noqa: F401
 
-# accept a swap only if it improves A by more than this share of A (float noise), to avoid cycling
+# accept a move only if it improves A by more than this share of A (float noise), to avoid cycling
 _IMPROVE_TOL = 1e-12
 
 
 @dataclass
 class GraspConfig:
     rcl_max: int = 5
-    max_iter: int = 80
     seed: int = 0
 
     def __post_init__(self):
         if self.rcl_max < 1:
             raise ValueError("rcl_max must be at least 1")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -119,58 +117,59 @@ def _construct(instance, order, rcl, rng):
 
 
 def _add_gain(instance, offered):
-    """gain[k] = A(x + e_k) - A(x) for k outside the offered set S and
-    A(x) - A(x - e_k) for k in it: (n-1) theta_k plus k's mu entries
-    against S (mu's diagonal is zero).  Summing the |S| rows of one
-    gathered block keeps this O(|S| n)."""
+    """(gain, block): the mu rows of the offered set S, one per product, and
+    gain[k] = A(x + e_k) - A(x) for k outside S and A(x) - A(x - e_k) for
+    k in it: (n-1) theta_k plus the block's column sum (mu's diagonal is
+    zero).  O(|S| n)."""
     coeffs = coefficients(instance)
-    n = instance.n
-    return coeffs.lin_costs + coeffs.mu_matrix(n, offered, np.arange(n)).sum(axis=0)
+    block = coeffs.mu_matrix(instance.n, offered, np.arange(instance.n))
+    return coeffs.lin_costs + block.sum(axis=0), block
 
 
-def _local_search(instance, x, max_iter, rng):
-    """Swap local search: draw one offered and one unoffered product, flip
-    both, keep the move iff it is feasible and strictly increases A.
+def _local_search(instance, x):
+    """Best improvement over add and swap moves, to a local optimum: each
+    step makes the feasible move that raises A most, until none raises it
+    by more than _IMPROVE_TOL * A.  No drop raises A (mu_kj >= -min(theta_k,
+    theta_j) puts gain_k at (n - |S|) theta_k or more), so none is tried.
 
-    A trial costs O(1): with the add gain carried across trials, the swap
-    changes A by gain[inc] - (gain[out] + mu[out, inc]), one pair entry.
-    An accepted swap costs O(n): it adds mu[inc] - mu[out], two rows
-    gathered as one block, to the gain and rebuilds the ascending offered
-    and unoffered index arrays.  Swaps keep |S|, so all trials' draws come
-    from one RNG call, the same stream as one integers(|S|) and one
-    integers(n - |S|) call per trial.
+    A row of the offered products' mu block, or the zero row below them
+    for the adds, scores swapping its product out for each k: gain[k] -
+    (gain[out] + mu[out, k]).  Loads past C by more than rounding are not
+    scored, and the best move left goes through ``fits_capacity``.  An
+    accepted move gathers the added product's mu row, moves the gain by
+    it less the row it replaces, and takes that row's place.
     """
-    x = x.copy()
-    ones, zeros = np.flatnonzero(x), np.flatnonzero(x == 0)
-    if ones.size == 0 or zeros.size == 0:
-        return x, 0
-    weights = instance.weights.tolist()  # float sums, in fewer cycles
-
-    def swapped(_):
-        trial = x.copy()
-        trial[out], trial[inc] = 0, 1
-        return trial
-
-    n = instance.n
-    coeffs = coefficients(instance)
-    gain = _add_gain(instance, ones)
-    current_weight = float(instance.weights @ x.astype(float))
-    current_a = a_value(instance, x)
-    accepted = 0
-    draws = rng.integers(np.tile([ones.size, zeros.size], max_iter))
-    for i, j in draws.reshape(max_iter, 2).tolist():
-        out, inc = ones[i], zeros[j]
-        if not fits_capacity(instance, current_weight - weights[out] + weights[inc], swapped):
-            continue
-        delta = gain[inc] - (gain[out] + coeffs.mu[pair_index(n, out, inc)])
-        if delta > _IMPROVE_TOL * current_a:
-            x[out], x[inc] = 0, 1
-            gain += np.subtract(*coeffs.mu_matrix(n, [inc, out], np.arange(n)))
-            ones, zeros = np.flatnonzero(x), np.flatnonzero(x == 0)
-            current_weight += weights[inc] - weights[out]
-            current_a += delta
-            accepted += 1
-    return x, accepted
+    n, weights = instance.n, instance.weights
+    offered = np.flatnonzero(x)
+    gain, block = _add_gain(instance, offered)
+    block = np.vstack([block, np.zeros(n)])
+    load, a, moves = float(weights @ x.astype(float)), a_value(instance, x), 0
+    limit = instance.capacity * (1 + 2 * _CAPACITY_REL_TOL)
+    while True:
+        freed = np.append(weights[offered], 0.0)
+        scores = block + np.append(gain[offered], 0.0)[:, None]
+        np.subtract(gain, scores, out=scores)
+        scores[:, offered] = -np.inf
+        np.putmask(scores, weights > (limit - load) + freed[:, None], -np.inf)
+        while True:
+            r, k = divmod(int(scores.argmax()), n)
+            delta = float(scores[r, k])
+            if not delta > _IMPROVE_TOL * a:
+                return x, moves
+            trial = x.copy()
+            trial[offered[r:r + 1]], trial[k] = 0, 1  # the add row drops nothing
+            new_load = load - freed[r] + weights[k]
+            if fits_capacity(instance, new_load, lambda _: trial):
+                break
+            scores[r, k] = -np.inf
+        row = coefficients(instance).mu_matrix(n, [k], np.arange(n))[0]
+        gain += row - block[r]
+        block[r] = row
+        if r < offered.size:
+            offered[r] = k
+        else:
+            offered, block = np.append(offered, k), np.vstack([block, np.zeros(n)])
+        x, load, a, moves = trial, new_load, a + delta, moves + 1
 
 
 def grasp(instance: Instance, config: GraspConfig | None = None) -> SolveResult:
@@ -191,7 +190,7 @@ def grasp(instance: Instance, config: GraspConfig | None = None) -> SolveResult:
     for rcl in range(1, config.rcl_max + 1):
         rng = np.random.default_rng((config.seed, rcl))
         x = _construct(instance, order, rcl, rng)
-        x, accepted = _local_search(instance, x, config.max_iter, rng)
+        x, accepted = _local_search(instance, x)
         improvements += accepted
         a = a_value(instance, x)
         if a > best_a or (a == best_a and tie_break_prefer(x, best_x)):

@@ -84,10 +84,10 @@ class SolveStats:
     incumbent, and those the search's last re-fix, against its best
     incumbent, fixed in and out beyond them (0 when the incumbent never
     rises).
-    Heuristic answers set ``improvement_count`` (GRASP also
-    ``construction_rcl``) and serialize those in place of the search
-    counts.  Heuristics and the LP bound leave ``wall_time_s`` at 0, so
-    their results repeat exactly; the CLI stamps it on every answer."""
+    Heuristic answers set ``improvement_count``, the moves GRASP's local
+    search accepted (GRASP also ``construction_rcl``), and serialize those
+    in place of the search counts.  Heuristics and the LP bound leave
+    ``wall_time_s`` at 0, so their results repeat; the CLI stamps it."""
 
     nodes: int = 0
     lp_solves: int = 0

@@ -7,10 +7,8 @@ from pclopt import (
     GeneratorConfig,
     Instance,
     LinearizedCoefficients,
-    a_value,
     coefficients,
     generate_instance,
-    is_feasible,
     pair_count,
     pair_members,
     validate_assortment,
@@ -229,7 +227,7 @@ def random_feasible_assortment(instance, rng) -> np.ndarray:
 def dense_mu(instance):
     """The symmetric n x n mu matrix with zero diagonal, scattered from the
     coefficients over pair_members: the reference the mu blocks and the
-    swap bookkeeping are checked against."""
+    local search's bookkeeping are checked against."""
     n = instance.n
     I, J = pair_members(n)
     mu = coefficients(instance).mu
@@ -237,50 +235,6 @@ def dense_mu(instance):
     mat[I, J] = mu
     mat[J, I] = mu
     return mat
-
-
-def reference_local_search(instance, x, max_iter, rng):
-    """GRASP's swap local search as it was before the add gain was carried:
-    two scalar draws per trial, and each trial's A change as two O(n)
-    single-flip deltas, mu_row . x + (n-1) theta for the add and its
-    negation, on the state that holds the added product, for the removal.
-    An oracle for heuristics._local_search, which must accept the same
-    swaps from the same stream."""
-    coeffs = coefficients(instance)
-    mu_mat = dense_mu(instance)
-    weights = instance.weights
-    x = x.copy()
-    current_weight = float(weights @ x.astype(float))
-    current_a = a_value(instance, x)
-    accepted = 0
-    for _ in range(max_iter):
-        ones = np.flatnonzero(x == 1)
-        zeros = np.flatnonzero(x == 0)
-        if ones.size == 0 or zeros.size == 0:
-            break
-        out = int(ones[rng.integers(ones.size)])
-        inc = int(zeros[rng.integers(zeros.size)])
-        # the load decides, but within 1e-12 C of C the dot of the swap does
-        load = current_weight - weights[out] + weights[inc]
-        swapped = x.copy()
-        swapped[out], swapped[inc] = 0, 1
-        if abs(load - instance.capacity) <= 1e-12 * instance.capacity:
-            fits = is_feasible(instance, swapped)
-        else:
-            fits = load <= instance.capacity
-        if not fits:
-            continue
-        delta = float(mu_mat[inc] @ x.astype(float) + coeffs.lin_costs[inc])
-        x[inc] = 1
-        delta += float(-(mu_mat[out] @ x.astype(float) + coeffs.lin_costs[out]))
-        if delta > 1e-12 * current_a:
-            x[out] = 0
-            current_weight += weights[inc] - weights[out]
-            current_a += delta
-            accepted += 1
-        else:
-            x[inc] = 0
-    return x, accepted
 
 
 def reference_fractional_knapsack(values, weights, capacity):

@@ -206,10 +206,12 @@ def test_solve_refuses_a_bad_config_before_solving(tmp_path, capsys, monkeypatch
     assert json.loads(err)["code"] == "bad-arguments"
 
 
+# GRASP's local search runs to a local optimum, so its old trial count
+# --max-iter is refused as an unknown flag, whatever its value
 @pytest.mark.parametrize(
     "flags",
     [["--node-budget", "-5"], ["--budget-seconds", "-1"], ["--rcl-max", "0"],
-     ["--max-iter", "-1"]],
+     ["--max-iter", "80"]],
     ids=["node-budget", "budget-seconds", "rcl-max", "max-iter"],
 )
 def test_bench_refuses_a_bad_config_before_generating(capsys, monkeypatch, flags):

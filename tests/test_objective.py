@@ -118,8 +118,9 @@ def test_linearization_identity_vanishes_at_gamma_one():
 
 def test_add_gain_on_empty_assortment():
     inst = random_instance(4)
-    gain = _add_gain(inst, np.array([], dtype=np.intp))
+    gain, block = _add_gain(inst, np.array([], dtype=np.intp))
     assert np.array_equal(gain, coefficients(inst).lin_costs)
+    assert block.shape == (0, inst.n)
 
 
 def _flipped(x, *products):
@@ -162,7 +163,8 @@ def test_swap_delta_matches_full_recomputation():
         ones, zeros = np.flatnonzero(x), np.flatnonzero(x == 0)
         if ones.size == 0 or zeros.size == 0:
             continue
-        gain = _add_gain(inst, ones)
+        gain, block = _add_gain(inst, ones)
+        assert np.array_equal(block, mu_mat[ones])
         a = a_value(inst, x)
         for k in range(inst.n):
             flip = abs(a_value(inst, _flipped(x, k)) - a)
@@ -175,7 +177,8 @@ def test_swap_delta_matches_full_recomputation():
 
 
 def test_carried_gain_matches_a_fresh_build():
-    # the local search's update over a run of swaps: gain += mu[inc] - mu[out]
+    # the local search's update over a run of adds and swaps: gain += mu[inc],
+    # less mu[out] for a swap
     rng = np.random.default_rng(2)
     for seed in range(10):
         inst = random_instance(seed + 400, n=40)
@@ -184,13 +187,17 @@ def test_carried_gain_matches_a_fresh_build():
         x = random_feasible_assortment(inst, rng)
         if not 0 < x.sum() < inst.n:
             continue
-        gain = _add_gain(inst, np.flatnonzero(x))
+        gain = _add_gain(inst, np.flatnonzero(x))[0]
         for _ in range(200):
-            out = rng.choice(np.flatnonzero(x))
             inc = rng.choice(np.flatnonzero(x == 0))
-            x[out], x[inc] = 0, 1
-            gain += mu_mat[inc] - mu_mat[out]
-        fresh = _add_gain(inst, np.flatnonzero(x))
+            if rng.random() < 0.1 and x.sum() < inst.n - 1:  # an add
+                gain += mu_mat[inc]
+            else:  # a swap
+                out = rng.choice(np.flatnonzero(x))
+                x[out] = 0
+                gain += mu_mat[inc] - mu_mat[out]
+            x[inc] = 1
+        fresh = _add_gain(inst, np.flatnonzero(x))[0]
         # 0 <= gain <= lin_costs, the scale of each entry
         assert np.all(np.abs(gain - fresh) <= 1e-12 * coeffs.lin_costs)
 
