@@ -17,13 +17,12 @@ Three routes to the optimum / bounds on it:
   (``_solve_highs``), with linprog's options but not its wrapper, and its
   dual simplex starts from the basis of the fractional-knapsack fill
   (``_start_basis``), near the LP optimum, not from the all-slack basis
-  linprog starts from.  That basis is primal feasible, and its duals
-  already price the products the fill leaves out (``_credit_rows``), so
-  it is close to dual feasible too: at n = 1000 (kappa 0.02-0.06, master
-  seed 0, indices 0-3) the dual simplex takes 0-320 iterations where the
-  all-slack start takes 2,349-14,646.  The binding is loaded from its
-  file (``_load_highs``), so importing pclopt imports neither
-  scipy.optimize nor scipy.sparse: the matrix is built as CSC arrays in
+  linprog starts from.  That basis is primal feasible, with y basic on
+  the pair rows the fill makes tight: at n = 1000 (kappa 0.02-0.06,
+  master seed 0, indices 0-3) the dual simplex takes 0-226 iterations
+  where the all-slack start takes 2,349-14,646.  The binding is loaded
+  from its file (``_load_highs``), so importing pclopt imports neither
+  scipy.optimize nor scipy.sparse: the matrix is built as CSR arrays in
   numpy (``_lp_matrix``), the same arrays scipy.sparse would hold.  Its
   answer carries the dual certificate of its bound: the row duals, the
   reduced costs of x and the weak-duality value.
@@ -71,8 +70,8 @@ import numpy as np
 import scipy
 
 from .heuristics import grasp, greedy  # noqa: F401 -- unused; the benchmark's tracer patches them
-from .instance import (_CAPACITY_REL_TOL, Instance, fits_capacity, is_feasible, pair_position,
-                       pair_positions, tie_break_prefer, validate_assortment)
+from .instance import (_CAPACITY_REL_TOL, Instance, fits_capacity, is_feasible, pair_positions,
+                       tie_break_prefer, validate_assortment)
 from .objective import a_value, coefficients, ratio_order, weight_exponents
 # optimal_uniform_price is unused; the benchmark's tracer patches it
 from .pricing import SolveResult, SolveStats, optimal_uniform_price, price_for_a  # noqa: F401
@@ -158,7 +157,6 @@ _HIGHS_OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
 _DUALITY_GAP_REL_TOL = 1e-13
 _BASIS_STATUS = np.array([highs.HighsBasisStatus.kLower, highs.HighsBasisStatus.kBasic,
                           highs.HighsBasisStatus.kUpper], dtype=object)
-_NO_ROWS = np.zeros(0, dtype=np.intp)
 
 
 class InstanceTooLarge(ValueError):
@@ -259,35 +257,30 @@ def knapsack_majorant_bound(instance: Instance) -> float:
 
 
 def _lp_matrix(weights, pair_i, pair_j):
-    """The restricted LP's constraint matrix in CSC form, as the arrays
-    (data, indices, indptr) that ``scipy.sparse.csc_array`` holds for it.
+    """The restricted LP's constraint matrix in CSR form, as the arrays
+    (data, indices, indptr) that ``scipy.sparse.csr_array`` holds for it.
 
     Row 0 is the capacity row, ``weights`` on the n x columns; row 1 + k is
     the pair row x_{pair_i[k]} + x_{pair_j[k]} - y_k, y_k being column
-    n + k.  Each x column holds its capacity entry, then its pair rows in
-    the order given; each y column its single -1.  Like scipy's conversion
-    from coordinates, a stable sort by column of the entries in that order
-    lays them out, and the index arrays keep the coordinates' int64.
+    n + k.  Each row is laid out in the order it is built, which is its
+    column order, so nothing is sorted.  Every column holds an entry, and
+    the index arrays are int64, as scipy keeps them from int64 coordinates.
     """
     n, k = weights.size, pair_i.size
-    row = np.concatenate([np.zeros(n, dtype=np.int64), np.repeat(np.arange(1, k + 1), 3)])
-    col = np.concatenate([np.arange(n),
-                          np.stack([pair_i, pair_j, n + np.arange(k)], axis=1).ravel()])
-    val = np.concatenate([weights, np.tile([1.0, 1.0, -1.0], k)])
-    order = np.argsort(col, kind="stable")
-    indptr = np.zeros(n + k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(col, minlength=n + k), out=indptr[1:])
-    return val[order], row[order], indptr
+    indices = np.concatenate([np.arange(n),
+                              np.stack([pair_i, pair_j, n + np.arange(k)], axis=1).ravel()])
+    data = np.concatenate([weights, np.tile([1.0, 1.0, -1.0], k)])
+    indptr = np.concatenate([[0], n + 3 * np.arange(k + 1)])
+    return data, indices, indptr
 
 
 def _transposed_product(a_ub, u) -> np.ndarray:
-    """A'u for A = a_ub in CSC form (data, indices, indptr).  Each column's
-    terms are added from 0 in storage order, as scipy's CSR mat-vec of A'
-    adds them, so the sums are scipy's ``a_ub.T @ u`` bit for bit."""
+    """A'u for A = a_ub in CSR form (data, indices, indptr), every column
+    holding an entry.  Each column's terms are added from 0 in row order,
+    as scipy's CSC mat-vec of A' adds them, so the sums are scipy's
+    ``a_ub.T @ u`` bit for bit."""
     data, indices, indptr = a_ub
-    cols = indptr.size - 1
-    return np.bincount(np.repeat(np.arange(cols), np.diff(indptr)),
-                       weights=data * u[indices], minlength=cols)
+    return np.bincount(indices, data * np.repeat(u, np.diff(indptr)))
 
 
 def _weak_duality_bound(cost, a_ub, b_ub, u, exponent) -> tuple[float, np.ndarray]:
@@ -315,102 +308,36 @@ def _refined_duals(cost, a_ub, u, z) -> np.ndarray:
     if not (basic.size and rows.size):
         return u
     residual = -cost[basic] - _transposed_product(a_ub, u)[basic]
-    # the dense block A[rows, basic]', built from the CSC arrays
+    # the dense block A[rows, basic]', built from the CSR arrays
     data, indices, indptr = a_ub
-    col = np.repeat(np.arange(z.size), np.diff(indptr))
-    keep = np.isin(col, basic) & np.isin(indices, rows)
+    row = np.repeat(np.arange(u.size), np.diff(indptr))
+    keep = np.isin(indices, basic) & np.isin(row, rows)
     block = np.zeros((basic.size, rows.size))
-    block[np.searchsorted(basic, col[keep]), np.searchsorted(rows, indices[keep])] = data[keep]
+    block[np.searchsorted(basic, indices[keep]), np.searchsorted(rows, row[keep])] = data[keep]
     step = np.linalg.lstsq(block, residual, rcond=None)[0]
     refined = u.copy()
     refined[rows] = np.maximum(0.0, u[rows] + step)
     return refined
 
 
-def _credit_rows(fill, cost, weights, positions, pair_i, pair_j, both, f, left_out):
-    """The restricted LP's pair rows, by index, whose y ``_start_basis``
-    makes basic at 0 so that its duals price the products the fill leaves
-    out.
-
-    All in the units of the LP passed to HiGHS: ``cost`` is -(lin, mu) and
-    ``weights`` the capacity row; ``positions`` are the rows' pairs in the
-    pair storage, sorted, and ``both`` the product of the fills of each
-    row's ends: 1 on the rows among products taken whole, f's fraction on
-    those from the fractional product f to them, 0 elsewhere.  The fill's
-    basis prices capacity at f's marginal gain per unit weight, lambda: its
-    linear cost plus its mu to the products taken whole, over its weight.
-    A product of ``left_out`` whose cost exceeds lambda w_k has that excess
-    as a positive reduced cost.  Its row to a taken product j is tight, so
-    y_kj may be basic there at 0, and then the row's dual -mu_kj credits k.
-    Each k draws its rows most negative mu first, until the credit covers
-    its excess.  A taken product j keeps its own slack, its reduced cost
-    gain_j - lambda w_j, nonnegative: a row whose credit alone exceeds it
-    is passed over, and the credit drawn from j's rows, in ``left_out``'s
-    order, stops there.  With a lambda past the float range no row is
-    drawn.
-    """
-    n = fill.size
-    credit = cost[n:]
-    # f's rows to the taken products are those whose fill product is f's
-    # fraction; Python floats: a quotient past the float range is a silent inf
-    lam = (-float(cost[f]) - float(credit @ ((both > 0.0) & (both < 1.0)))) / float(weights[f])
-    # left_out comes in ratio order, so its first product has the largest
-    # excess ratio; the weights are below 2, so lam w stays in the float
-    # range when 2 lam does
-    if not (left_out.size and positions.size and math.isfinite(2.0 * lam)
-            and -cost[left_out[0]] > lam * weights[left_out[0]]):
-        return _NO_ROWS
-    # each product's reduced cost at the fill's basis, before any credit:
-    # a left-out one's excess, and a taken one's slack, which also counts
-    # its mu on the tight rows
-    slack = -cost[:n] - lam * weights
-    excess = slack[left_out]
-    needy, excess = left_out[excess > 0.0], excess[excess > 0.0]
-    taken = np.flatnonzero(fill >= 1.0)
-    tight_credit = credit * (both > 0.0)
-    slack = slack[taken] - (np.bincount(pair_i, tight_credit, n)
-                            + np.bincount(pair_j, tight_credit, n))[taken]
-    # the block of rows joining each needy k to each taken j, and its
-    # credits; 0 where the LP has no row for the pair (mu = 0) and where
-    # the credit alone exceeds j's slack
-    pairs = pair_position(n, np.minimum.outer(needy, taken), np.maximum.outer(needy, taken))
-    rows = np.minimum(np.searchsorted(positions, pairs), positions.size - 1)
-    block = credit[rows] * ((positions[rows] == pairs) & (credit[rows] <= slack))
-    # each k draws its largest credits while those before fall short
-    k = np.arange(needy.size)[:, None]
-    order = (-block).argsort(axis=1, kind="stable")
-    ranked = block[k, order]
-    drawn = np.zeros(block.shape, dtype=bool)
-    drawn[k, order] = (ranked.cumsum(axis=1) - ranked < excess[:, None]) & (ranked > 0.0)
-    # each j keeps the draws its slack covers, k by k
-    return rows[drawn & ((block * drawn).cumsum(axis=0) <= slack)]
-
-
-def _start_basis(fill, fractional, cost, weights, positions, pair_i, pair_j, left_out):
-    """The restricted LP min cost'z over capacity row ``weights`` and pair
-    rows joining products ``pair_i`` and ``pair_j`` (at ``positions`` in the
-    pair storage): its start basis at the knapsack fill ``fill``, whose
-    fractional product is ``fractional`` (or None) and which leaves out the
-    products ``left_out`` of those rows, in ratio order.
+def _start_basis(fill, fractional, pair_i, pair_j):
+    """The restricted LP's start basis at the knapsack fill ``fill``, whose
+    fractional product is ``fractional`` (or None), for pair rows joining
+    products ``pair_i`` and ``pair_j``: the triangular basis of the
+    constraints the fill makes tight (Bixby, ORSA J. Comput. 1992).
 
     x_k is at its upper bound where fill = 1, basic where it is fractional
-    and at its lower bound where it is 0.  A pair whose ends both have
-    positive fill has y basic, at x_i + x_j - 1 in [0, 1], and its row
-    tight; so has each row ``_credit_rows`` draws, y_kj at 0 on a row
-    tight anyway, so that the basis's duals price the left-out products.
-    Every other y is at 0 with its row's slack basic.  The capacity row is
-    tight when the fill has a fractional product and basic otherwise.  Each
-    row has one basic variable of its own, the fractional x that of the
-    capacity row, so the basis is triangular, hence nonsingular, and its
-    basic solution is the fill, primal feasible.
+    and at its lower bound where it is 0.  A pair row the fill makes tight
+    or binding, fill_i + fill_j >= 1, has y basic, at x_i + x_j - 1 in
+    [0, 1]; every other row has its slack basic and y at 0.  The capacity
+    row is tight when the fill has a fractional product and basic
+    otherwise.  Each row has one basic variable of its own, the fractional
+    x that of the capacity row, so the basis is triangular, hence
+    nonsingular, and its basic solution is the fill, primal feasible.
     """
     # status codes index _BASIS_STATUS: 0 lower, 1 basic, 2 upper
-    both = fill[pair_i] * fill[pair_j]
-    y_basic = both > 0.0
+    y_basic = fill[pair_i] + fill[pair_j] >= 1.0
     x_status = (fill > 0.0).view(np.int8) + (fill >= 1.0)
-    if fractional is not None:
-        y_basic[_credit_rows(fill, cost, weights, positions, pair_i, pair_j, both,
-                             fractional, left_out)] = True
     capacity_status = _BASIS_STATUS[1 if fractional is None else 2]
     basis = highs.HighsBasis()
     basis.col_status = _BASIS_STATUS[np.concatenate([x_status, y_basic])].tolist()
@@ -422,14 +349,14 @@ def _start_basis(fill, fractional, cost, weights, positions, pair_i, pair_j, lef
 
 def _pass_model(solver, cost, a_ub, b_ub) -> None:
     """Hand ``solver`` the LP min cost'z over a_ub z <= b_ub, 0 <= z <= 1,
-    with a_ub in CSC form as the arrays (data, indices, indptr), through
+    with a_ub in CSR form as the arrays (data, indices, indptr), through
     the binding's array overload of ``passModel``.  Every column is
     continuous: the overload takes an integrality entry per column and
     refuses an empty vector.  A model HiGHS refuses raises RuntimeError."""
     data, indices, indptr = a_ub
     rows, cols = b_ub.size, cost.size
     status = solver.passModel(
-        cols, rows, data.size, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
+        cols, rows, data.size, highs.MatrixFormat.kRowwise, highs.ObjSense.kMinimize, 0.0,
         cost, np.zeros(cols), np.ones(cols), np.full(rows, -highs.kHighsInf), b_ub,
         indptr, indices, data, np.zeros(cols, dtype=np.int32))
     if status == highs.HighsStatus.kError:
@@ -484,23 +411,22 @@ def lp_relaxation(instance: Instance) -> LpSolution:
     violated, the restricted optimum is the full LP optimum.  Only pairs of
     products with positive x can violate their row, so the scan and the
     objective's mu terms cost O(p^2) for p such products.  Each restricted
-    LP is built in CSC form and solved by ``_solve_highs`` from
-    ``_start_basis`` at the knapsack fill, whose duals price the products
-    the fill leaves out: on n = 1000, kappa = 0.04 (master seed 0, indices
-    0-3) that takes 31-206 simplex iterations where the fill's basis
-    without those prices took 328-979 and the all-slack start takes
-    6,030-7,784.  Without the basis the binding returns linprog's answer bit
-    for bit, which is how the tests tie it to linprog; with it, an optimal
-    vertex of the same LP.
+    LP is built in CSR form and solved by ``_solve_highs`` from
+    ``_start_basis`` at the knapsack fill: on n = 1000, kappa = 0.04
+    (master seed 0, indices 0-3) that takes 46-119 simplex iterations where
+    the all-slack start takes 6,030-7,784.  Without the basis the binding
+    returns linprog's answer bit for bit, which is how the tests tie it to
+    linprog; with it, an optimal vertex of the same LP.
 
     The reported objective is the canonical full one at x, unless HiGHS's
     duals, as returned and refined on its basis, both bound the LP above
     it by more than rounding; then it is the smaller dual bound, which
     stays valid when HiGHS stops within its tolerance.  The certificate is
     that of the duals with the smaller bound.  Where the objective at x
-    overflows, the dual bound is reported, and it is inf when it overflows
-    too: pricing refuses it, and branch-and-bound then fixes nothing and
-    keeps its own bounds.
+    overflows only in its linear part, it is summed halved and doubled, as
+    ``a_value`` sums A; where it overflows as a whole, the dual bound is
+    reported, and it is inf when it overflows too: pricing refuses it, and
+    branch-and-bound then fixes nothing and keeps its own bounds.
     """
     n = instance.n
     I, J = instance.pair_i, instance.pair_j
@@ -534,9 +460,8 @@ def lp_relaxation(instance: Instance) -> LpSolution:
         pair_i, pair_j = I[sel], J[sel]
         a_ub = _lp_matrix(row_weights, pair_i, pair_j)
         b_ub = np.concatenate([[row_capacity], np.ones(k)])
-        basis = _start_basis(fill, fractional, cost, row_weights, sel, pair_i, pair_j,
-                             order[support:prefix])
-        z, row_dual, steps = _solve_highs(cost, a_ub, b_ub, basis)
+        z, row_dual, steps = _solve_highs(cost, a_ub, b_ub,
+                                          _start_basis(fill, fractional, pair_i, pair_j))
         solves += 1
         iterations += steps
         x = z[:n]
@@ -550,8 +475,14 @@ def lp_relaxation(instance: Instance) -> LpSolution:
             # never falls below it; when it lies past rounding, the duals
             # refined on the basis give the tighter of two valid bounds
             u = np.maximum(0.0, -row_dual)
+            y = np.maximum(0.0, excess)
             with np.errstate(over="ignore", invalid="ignore"):
-                objective = float(lin_costs @ x + mu[pos] @ np.maximum(0.0, excess))
+                objective = float(lin_costs @ x + mu[pos] @ y)
+                if not math.isfinite(objective):
+                    # as in a_value: the linear part may overflow where the
+                    # objective does not; halved, it cannot
+                    objective = float(2.0 * (np.ldexp(lin_costs, -1) @ x
+                                             + np.ldexp(mu[pos], -1) @ y))
                 dual, reduced = _weak_duality_bound(cost, a_ub, b_ub, u, exponent)
                 if dual - objective > _DUALITY_GAP_REL_TOL * abs(objective):
                     refined = _refined_duals(cost, a_ub, u, z)
