@@ -28,7 +28,6 @@ from .exact import (
     knapsack_majorant_bound,
     lp_bound_answer,
     lp_relaxation,
-    revenue_upper_bound,
 )
 from .heuristics import GraspConfig, grasp, greedy
 from .instance import (
@@ -89,7 +88,6 @@ __all__ = [
     "pair_index",
     "pair_members",
     "price_for_a",
-    "revenue_upper_bound",
     "run_experiment",
     "simulate_choice",
     "total_weight",

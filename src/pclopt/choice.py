@@ -16,8 +16,11 @@ from ``log_nest_value``, which never forms alpha/gamma.  The probabilities
 are normalized against the largest log nest value, so tiny (even subnormal)
 gammas and large utilities neither overflow nor underflow.
 
-The simulator counts trials rather than drawing them one by one, so its
-cost is O(n^2) whatever the number of trials.
+A nest with no offered product is never chosen and one with a single
+offered product sells only that product, so the distribution is built on
+the offered set S in O(|S|^2 + n).  The simulator counts trials rather than
+drawing them one by one: one multinomial draw over the products and
+no-purchase, whatever the number of trials.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, validate_assortment, validate_prices
+from .instance import Instance, pair_positions, validate_assortment, validate_prices
 
 
 def log_nest_value(a_i: np.ndarray, a_j: np.ndarray, gam: np.ndarray) -> np.ndarray:
@@ -51,44 +54,37 @@ class ChoiceDistribution:
     no_purchase: float
 
 
-def _pair_quantities(instance: Instance, prices: np.ndarray, x: np.ndarray):
-    """Per-pair nest probabilities and within-nest shares.
-
-    Returns (nest_probs, within_i, no_purchase) where nest_probs[p] is q^ij
-    for pair p and within_i[p] is the conditional share of its first member;
-    the second takes the rest.
-    """
-    I, J = instance.pair_i, instance.pair_j
-    a = instance.alpha - instance.beta * prices
-    on = x.astype(bool)
-    on_i, on_j = on[I], on[J]
-    log_nest = np.where(on_i, a[I], np.where(on_j, a[J], -np.inf))
-    within_i = on_i.astype(float)
-    both = np.flatnonzero(on_i & on_j)
-    a_i, a_j, gam = a[I[both]], a[J[both]], instance.gamma_upper[both]
-    with np.errstate(over="ignore"):  # 1 / (1 + inf) = 0 is the right share
-        within_i[both] = 1.0 / (1.0 + np.exp((a_j - a_i) / gam))
-    log_nest[both] = log_nest_value(a_i, a_j, gam)
-
-    shift = max(0.0, float(log_nest.max()))
-    nest_vals = np.exp(log_nest - shift)
-    outside = np.exp(-shift)  # the no-purchase option's value, on the same scale
-    denom = outside + nest_vals.sum()
-    return nest_vals / denom, within_i, float(outside / denom)
-
-
 def choice_probabilities(instance: Instance, prices, x) -> ChoiceDistribution:
     """Purchase probabilities q_i and no-purchase probability q_0.
 
-    x does not have to be feasible; an empty assortment yields q_0 = 1.
+    Only the nests holding an offered product count, grouped on the offered
+    set S as ``a_value`` groups A(x): each offered product k has n - |S|
+    nests with a left-out partner, worth e^(a_k) each and bought as k, and
+    each offered pair is one nest, split by its within-nest shares.  O(|S|^2
+    + n).  x does not have to be feasible; an empty assortment yields q_0 = 1.
     """
     prices = validate_prices(instance, prices)
     x = validate_assortment(instance, x)
-    nest_probs, within_i, no_purchase = _pair_quantities(instance, prices, x)
-    I, J = instance.pair_i, instance.pair_j
-    probs = np.bincount(I, weights=nest_probs * within_i, minlength=instance.n)
-    probs += np.bincount(J, weights=nest_probs * (1.0 - within_i), minlength=instance.n)
-    return ChoiceDistribution(product_probs=probs, no_purchase=no_purchase)
+    n = instance.n
+    u = instance.alpha - instance.beta * prices
+    offered = np.flatnonzero(x)
+    pos, i, j = pair_positions(offered, n)
+    gam = instance.gamma_upper[pos]
+    with np.errstate(over="ignore"):  # 1 / (1 + inf) = 0 is the right share
+        share_i = 1.0 / (1.0 + np.exp((u[j] - u[i]) / gam))
+    log_pair = log_nest_value(u[i], u[j], gam)
+    # a nest is worth at least its best member, so this is the largest log
+    # nest value, or 0 when that is negative
+    u_offered = u[offered]
+    shift = max(u_offered.max(initial=0.0), log_pair.max(initial=0.0))
+    single = np.exp(u_offered - shift) * (n - offered.size)
+    pair = np.exp(log_pair - shift)
+    outside = np.exp(-shift)  # the no-purchase option's value, on the same scale
+    denom = outside + single.sum() + pair.sum()
+    probs = np.bincount(np.concatenate((offered, i, j)),
+                        weights=np.concatenate((single, pair * share_i, pair * (1.0 - share_i))),
+                        minlength=n)
+    return ChoiceDistribution(product_probs=probs / denom, no_purchase=float(outside / denom))
 
 
 def expected_revenue(instance: Instance, prices, x) -> float:
@@ -101,29 +97,24 @@ def expected_revenue(instance: Instance, prices, x) -> float:
 def simulate_choice(
     instance: Instance, prices, x, rng_seed: int, trials: int
 ) -> ChoiceDistribution:
-    """Empirical choice frequencies of ``trials`` two-stage draws.
+    """Empirical choice frequencies of ``trials`` customers.
 
-    Each customer first takes the no-purchase outcome or a nest according to
+    Each customer takes the no-purchase outcome or a nest according to
     (q_0, q^ij), then a product within the nest according to q_i^ij.  The
-    draws are counted rather than made one by one: the outcome counts are
-    one multinomial draw, and each nest's split between its two products is
-    one binomial draw, which gives the counts the same joint distribution.
-    Time and memory are O(n^2) whatever ``trials`` is, up to 2^63 - 1.
-    Deterministic for a fixed seed.
+    draws are counted rather than made one by one: the counts of (q_1, ...,
+    q_n, q_0) are one multinomial draw, which is the joint distribution of
+    the two-stage draw's outcomes summed per product.  Time and memory are
+    O(|S|^2 + n) whatever ``trials`` is, up to 2^63 - 1.  Deterministic for
+    a fixed seed.
     """
     if not 1 <= trials < 2**63:  # the counts are int64
         raise ValueError("trials must be between 1 and 2^63 - 1")
-    prices = validate_prices(instance, prices)
-    x = validate_assortment(instance, x)
-    nest_probs, within_i, no_purchase = _pair_quantities(instance, prices, x)
-    outcome_probs = np.concatenate((nest_probs, [no_purchase]))
+    dist = choice_probabilities(instance, prices, x)
+    outcome_probs = np.append(dist.product_probs, dist.no_purchase)
     # numpy's multinomial hands its last outcome whatever rounding leaves
     # over, so the likeliest goes last and an outcome of probability 0 never
     # gets a count
     shift = outcome_probs.size - 1 - int(np.argmax(outcome_probs))
     rng = np.random.default_rng(rng_seed)
     counts = np.roll(rng.multinomial(trials, np.roll(outcome_probs, shift)), -shift)
-    took_i = rng.binomial(counts[:-1], within_i)
-    sold = np.bincount(instance.pair_i, weights=took_i, minlength=instance.n)
-    sold += np.bincount(instance.pair_j, weights=counts[:-1] - took_i, minlength=instance.n)
-    return ChoiceDistribution(sold / trials, float(counts[-1] / trials))
+    return ChoiceDistribution(counts[:-1] / trials, float(counts[-1] / trials))

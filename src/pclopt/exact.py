@@ -27,8 +27,8 @@ Three routes to the optimum / bounds on it:
   answer carries the dual certificate of its bound: the row duals, the
   reduced costs of x and the weak-duality value.
 * ``lp_bound_answer`` is the bound-only answer: no assortment, the LP
-  bound as ``upper_bound``, priced as if that A were attained, which gives
-  ``revenue_upper_bound``.
+  bound as ``upper_bound``, priced as if that A were attained, which bounds
+  the revenue.
 * ``branch_and_bound`` proves optimality over binary x.  A solve runs
   GRASP (the caller's incumbent), then the root LP, then reduced-cost
   fixing and the search:
@@ -70,8 +70,8 @@ import numpy as np
 import scipy
 
 from .heuristics import grasp, greedy  # noqa: F401 -- unused; the benchmark's tracer patches them
-from .instance import (_CAPACITY_REL_TOL, Instance, fits_capacity, is_feasible, pair_positions,
-                       tie_break_prefer, validate_assortment)
+from .instance import (_CAPACITY_REL_TOL, Instance, fits_capacity, is_feasible, pair_members,
+                       pair_positions, tie_break_prefer, validate_assortment)
 from .objective import a_value, coefficients, ratio_order, weight_exponents
 # optimal_uniform_price is unused; the benchmark's tracer patches it
 from .pricing import SolveResult, SolveStats, optimal_uniform_price, price_for_a  # noqa: F401
@@ -429,7 +429,6 @@ def lp_relaxation(instance: Instance) -> LpSolution:
     branch-and-bound then fixes nothing and keeps its own bounds.
     """
     n = instance.n
-    I, J = instance.pair_i, instance.pair_j
     coeffs = coefficients(instance)
     lin_costs, mu = coeffs.lin_costs, coeffs.mu
     order = ratio_order(lin_costs, instance.weights)
@@ -453,11 +452,12 @@ def lp_relaxation(instance: Instance) -> LpSolution:
 
     solves = iterations = 0
     for _ in range(mu.size + 2):
-        seeded, _, _ = pair_positions(order[:prefix], n)
-        sel = np.sort(seeded[mu[seeded] < 0.0])
+        # sorted products give their pairs in storage order
+        seeded, seeded_i, seeded_j = pair_positions(np.sort(order[:prefix]), n)
+        rows = mu[seeded] < 0.0
+        sel, pair_i, pair_j = seeded[rows], seeded_i[rows], seeded_j[rows]
         k = sel.size
         cost = np.ldexp(np.concatenate([-lin_costs, -mu[sel]]), exponent)
-        pair_i, pair_j = I[sel], J[sel]
         a_ub = _lp_matrix(row_weights, pair_i, pair_j)
         b_ub = np.concatenate([[row_capacity], np.ones(k)])
         z, row_dual, steps = _solve_highs(cost, a_ub, b_ub,
@@ -522,11 +522,6 @@ def lp_bound_answer(instance: Instance) -> SolveResult:
     )
 
 
-def revenue_upper_bound(instance: Instance) -> float:
-    """Revenue bound: the revenue of the bound-only answer."""
-    return lp_bound_answer(instance).revenue
-
-
 def brute_force_oracle(instance: Instance) -> SolveResult:
     """Exhaustive optimum over all 2^n assortments (guarded at n <= 22).
 
@@ -544,7 +539,7 @@ def brute_force_oracle(instance: Instance) -> SolveResult:
         )
     t0 = time.perf_counter()
     coeffs = coefficients(instance)
-    I, J = instance.pair_i, instance.pair_j
+    I, J = pair_members(n)
     lin_costs = coeffs.lin_costs
     bit_values = 1 << np.arange(n, dtype=np.int64)
 

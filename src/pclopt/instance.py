@@ -120,8 +120,6 @@ class Instance:
     capacity: float
     beta: float
     gamma_upper: np.ndarray
-    pair_i: np.ndarray = field(init=False, repr=False, compare=False)
-    pair_j: np.ndarray = field(init=False, repr=False, compare=False)
     # LinearizedCoefficients, filled by pclopt.objective.coefficients
     _coefficients: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -152,7 +150,6 @@ class Instance:
             raise ValidationError(
                 "gamma values must lie in (0, 1]", f"gamma_upper[{bad}]"
             )
-        self.pair_i, self.pair_j = pair_members(self.n)
 
     def gamma(self, i: int, j: int) -> float:
         """Dissimilarity parameter of the pair {i, j}."""

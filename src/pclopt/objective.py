@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choice import log_nest_value
-from .instance import Instance, pair_position, pair_positions, validate_assortment
+from .instance import Instance, pair_members, pair_position, pair_positions, validate_assortment
 
 # ratio_key orders exactly every value down to 2^-_RATIO_KEY_BITS of the
 # largest; the ratios of smaller ones may tie or misorder among themselves,
@@ -55,7 +55,7 @@ class LinearizedCoefficients:
 
     @classmethod
     def from_instance(cls, instance: Instance) -> "LinearizedCoefficients":
-        I, J = instance.pair_i, instance.pair_j
+        I, J = pair_members(instance.n)
         gam = instance.gamma_upper
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
             theta = np.exp(instance.alpha)

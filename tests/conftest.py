@@ -53,7 +53,7 @@ def pair_sum_a(instance: Instance, x) -> float:
     is.  An oracle for a_value, which evaluates the quadratic form on the
     offered set instead."""
     on = validate_assortment(instance, x).astype(bool)
-    I, J = instance.pair_i, instance.pair_j
+    I, J = pair_members(instance.n)
     gam = instance.gamma_upper
     with np.errstate(over="ignore"):
         theta = np.exp(instance.alpha)
@@ -155,8 +155,9 @@ def assert_matches_all_pairs_lp(instance: Instance, value: float):
     rows = np.arange(1, m + 1)
     a_ub = np.zeros((1 + m, n + m))
     a_ub[0, :n] = instance.weights
-    a_ub[rows, instance.pair_i] = 1.0
-    a_ub[rows, instance.pair_j] = 1.0
+    I, J = pair_members(n)
+    a_ub[rows, I] = 1.0
+    a_ub[rows, J] = 1.0
     a_ub[rows, n + np.arange(m)] = -1.0
     b_ub = np.concatenate([[instance.capacity], np.ones(m)])
     res = linprog(
@@ -181,6 +182,7 @@ def linearized_milp(instance: Instance) -> tuple[float, np.ndarray]:
     none of its bounds or search.  The costs are scaled to a largest of 1,
     as HiGHS needs; the optimum is unscaled."""
     n = instance.n
+    I, J = pair_members(n)
     coeffs = coefficients(instance)
     pairs = np.flatnonzero(coeffs.mu < 0.0)
     p = pairs.size
@@ -189,7 +191,7 @@ def linearized_milp(instance: Instance) -> tuple[float, np.ndarray]:
     # row 0 is the capacity row; row 1 + k the pair row of pairs[k]
     rows = np.concatenate([np.zeros(n, dtype=int), np.repeat(np.arange(1, p + 1), 3)])
     cols = np.concatenate([np.arange(n), np.stack(
-        [instance.pair_i[pairs], instance.pair_j[pairs], n + np.arange(p)], axis=1).ravel()])
+        [I[pairs], J[pairs], n + np.arange(p)], axis=1).ravel()])
     vals = np.concatenate([instance.weights, np.tile([1.0, 1.0, -1.0], p)])
     a_ub = sp.csr_array((vals, (rows, cols)), shape=(1 + p, n + p))
     b_ub = np.concatenate([[instance.capacity], np.ones(p)])

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -16,6 +17,7 @@ from pclopt import (
     choice_probabilities,
     expected_revenue,
     generate_instance,
+    greedy,
     pair_count,
     simulate_choice,
 )
@@ -109,11 +111,15 @@ def test_matches_plain_python_evaluation():
     for seed in range(20):
         inst = random_instance(seed, n=int(rng.integers(2, 9)))
         prices = rng.uniform(0, 20, inst.n)
-        x = (rng.random(inst.n) < 0.5).astype(int)
-        dist = choice_probabilities(inst, prices, x)
-        q_ref, q0_ref = brute_force_distribution(inst, prices, x)
-        assert dist.product_probs == pytest.approx(q_ref, abs=1e-12)
-        assert dist.no_purchase == pytest.approx(q0_ref, abs=1e-12)
+        # a random x, every product (no nest with a left-out partner) and a
+        # single product
+        one_hot = np.zeros(inst.n, dtype=int)
+        one_hot[seed % inst.n] = 1
+        for x in ((rng.random(inst.n) < 0.5).astype(int), np.ones(inst.n, dtype=int), one_hot):
+            dist = choice_probabilities(inst, prices, x)
+            q_ref, q0_ref = brute_force_distribution(inst, prices, x)
+            assert dist.product_probs == pytest.approx(q_ref, abs=1e-12)
+            assert dist.no_purchase == pytest.approx(q0_ref, abs=1e-12)
 
 
 def test_normalization_and_support():
@@ -209,6 +215,23 @@ def test_simulation_cost_does_not_grow_with_trials():
     sim = simulate_choice(inst, prices, x, rng_seed=1, trials=10**12)
     assert time.perf_counter() - t0 < 1.0
     assert sim.no_purchase + sim.product_probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_choice_model_never_holds_an_all_pairs_array():
+    # the distribution is built on the offered set, so evaluating and
+    # simulating an assortment allocates less than one float per pair
+    inst = generate_instance(GeneratorConfig(n=1000, kappa=0.04, seed=0))
+    offer = greedy(inst)
+    prices = np.full(inst.n, offer.price)
+    tracemalloc.start()
+    try:
+        choice_probabilities(inst, prices, offer.assortment)
+        expected_revenue(inst, prices, offer.assortment)
+        simulate_choice(inst, prices, offer.assortment, rng_seed=1, trials=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < inst.gamma_upper.nbytes
 
 
 @pytest.mark.parametrize("alpha_shift", [0.0, 800.0])

@@ -24,9 +24,10 @@ from pclopt import (
     is_feasible,
     knapsack_majorant_bound,
     lambert_w0,
+    lp_bound_answer,
     lp_relaxation,
     pair_count,
-    revenue_upper_bound,
+    pair_members,
 )
 
 import pclopt.exact
@@ -109,7 +110,7 @@ def test_lp_solution_structure_and_bound_property():
     for seed in range(12):
         inst = random_instance(seed + 60, n=int(np.random.default_rng(seed).integers(4, 12)))
         lp = lp_relaxation(inst)
-        I, J = inst.pair_i, inst.pair_j
+        I, J = pair_members(inst.n)
         # constraints hold, and the objective is that of x with every y on
         # its lower envelope, over all pairs
         assert float(inst.weights @ lp.x_frac) <= inst.capacity + 1e-8
@@ -236,7 +237,7 @@ def test_lp_certificate_bounds_every_assortment_with_a_product_in_or_out():
         inst = random_instance(seed + 900, n=8)
         lp = lp_relaxation(inst)
         coeffs = coefficients(inst)
-        I, J = inst.pair_i, inst.pair_j
+        I, J = pair_members(inst.n)
         rows, u = lp.pair_rows, lp.pair_duals
         assert np.all(np.diff(rows) > 0) and np.all(coeffs.mu[rows] < 0) and np.all(u >= 0)
         # r = (n-1) theta - u_0 w - the duals of each product's pair rows, for one u_0 >= 0
@@ -432,7 +433,8 @@ def _draw_lp_matrix(data):
     sel = np.array(sorted(data.draw(st.sets(st.integers(0, pairs - 1), max_size=pairs))),
                    dtype=int)
     weights = np.ldexp(inst.weights, 1 - np.frexp(inst.weights.max())[1])
-    args = (weights, inst.pair_i[sel], inst.pair_j[sel])
+    I, J = pair_members(inst.n)
+    args = (weights, I[sel], J[sel])
     return _lp_matrix(*args), _scipy_lp_matrix(*args)
 
 
@@ -730,17 +732,17 @@ def test_subnormal_gamma_keeps_the_true_optimum(alpha, expected_x, expected_a):
 
 def test_revenue_upper_bound_chain():
     inst = toy_instance([0.0, 0.0], [1.0, 1.0], 1.0, gamma=0.5)
-    assert revenue_upper_bound(inst) == pytest.approx(2.784645427610738, abs=1e-6)
+    assert lp_bound_answer(inst).revenue == pytest.approx(2.784645427610738, abs=1e-6)
 
     # unconstrained: the relaxation is tight, so the bound equals the optimum
     inst = random_instance(19, n=7)
     inst.capacity = float(inst.weights.sum()) + 1.0
     oracle = brute_force_oracle(inst)
-    assert revenue_upper_bound(inst) == pytest.approx(oracle.revenue, rel=1e-6)
+    assert lp_bound_answer(inst).revenue == pytest.approx(oracle.revenue, rel=1e-6)
 
     for seed in range(8):
         inst = random_instance(seed + 250)
-        assert revenue_upper_bound(inst) >= brute_force_oracle(inst).revenue - 1e-8
+        assert lp_bound_answer(inst).revenue >= brute_force_oracle(inst).revenue - 1e-8
 
 
 def test_result_serialization():

@@ -15,6 +15,7 @@ from pclopt import (
     knapsack_majorant_bound,
     lp_relaxation,
     pair_count,
+    pair_members,
 )
 
 from pclopt.heuristics import _add_gain
@@ -37,7 +38,7 @@ def test_coefficient_signs_and_dominance():
     for seed in range(15):
         inst = random_instance(seed)
         coeffs = coefficients(inst)
-        I, J = inst.pair_i, inst.pair_j
+        I, J = pair_members(inst.n)
         assert np.all(coeffs.mu <= 0.0)
         # rho = mu + theta_i + theta_j >= max(theta_i, theta_j)
         assert np.all(coeffs.mu >= -np.minimum(coeffs.theta[I], coeffs.theta[J]))
