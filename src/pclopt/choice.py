@@ -37,10 +37,15 @@ def log_nest_value(a_i: np.ndarray, a_j: np.ndarray, gam: np.ndarray) -> np.ndar
     max(a_i, a_j) + gam log1p(exp(-|a_i - a_j| / gam)).
 
     Works in place (4 MB per pair array at n = 1000): a_i is overwritten.
+    Where the CPU has AVX-512, numpy runs float64 exp and log1p as SIMD
+    code whose last bits can differ from libm's (and so from
+    logaddexp(0, .)); at n = 1000 about 1.5% of the mu entries built from
+    this move by ulps of rho.  Elsewhere both are libm's, bit for bit.
     """
     with np.errstate(over="ignore"):  # a / gam would overflow at tiny gam
         log_v = np.abs(a_i - a_j) / -gam
-    np.logaddexp(0.0, log_v, out=log_v)
+    np.exp(log_v, out=log_v)
+    np.log1p(log_v, out=log_v)
     log_v *= gam
     log_v += np.maximum(a_i, a_j, out=a_i)
     return log_v

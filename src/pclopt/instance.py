@@ -60,6 +60,15 @@ def pair_members(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, k=1)
 
 
+def pair_sides(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(v[I], v[J]) over the pairs (I, J) of ``pair_members``, built row by
+    row in storage order without those index arrays: row i repeats v_i and
+    takes the slice v[i+1:]."""
+    n = v.size
+    v_i = np.repeat(v[:-1], np.arange(n - 1, 0, -1))
+    return v_i, np.concatenate([v[i + 1:] for i in range(n - 1)])
+
+
 def pair_positions(products: np.ndarray, n: int):
     """Storage positions and endpoints (i < j) of every pair among the
     distinct ``products``, in storage order if they are sorted; O(m^2) in

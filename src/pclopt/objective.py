@@ -22,7 +22,12 @@ neither overflow nor underflow, and mu is set to exactly zero where
 gamma_ij == 1.
 
 ``coefficients(instance)`` builds these arrays once per instance and caches
-them on it; every solver, bound and heuristic reads them from there.
+them on it; every solver, bound and heuristic reads them from there.  The
+build is one pass over the pair storage's rows (row i holds the pairs
+(i, i+1), ..., (i, n-1)): ``instance.pair_sides`` repeats v_i along row i
+for the i side of a pair operand and concatenates the slices v[i+1:] for
+the j side, so no all-pairs index arrays are formed, and mu is worked out
+in place.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choice import log_nest_value
-from .instance import Instance, pair_members, pair_position, pair_positions, validate_assortment
+from .instance import Instance, pair_position, pair_positions, pair_sides, validate_assortment
 
 # ratio_key orders exactly every value down to 2^-_RATIO_KEY_BITS of the
 # largest; the ratios of smaller ones may tie or misorder among themselves,
@@ -55,14 +60,16 @@ class LinearizedCoefficients:
 
     @classmethod
     def from_instance(cls, instance: Instance) -> "LinearizedCoefficients":
-        I, J = pair_members(instance.n)
-        gam = instance.gamma_upper
+        alpha, gam = instance.alpha, instance.gamma_upper
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
-            theta = np.exp(instance.alpha)
-            log_rho = log_nest_value(instance.alpha[I], instance.alpha[J], gam)
-            rho = np.exp(log_rho, out=log_rho)
+            theta = np.exp(alpha)
+            mu = log_nest_value(*pair_sides(alpha), gam)
+            np.exp(mu, out=mu)  # rho
+            theta_i, theta_j = pair_sides(theta)
+            mu -= theta_i
+            mu -= theta_j
             # subadditivity of t -> t^gamma guarantees mu <= 0; clamp log/exp noise
-            mu = np.minimum(rho - theta[I] - theta[J], 0.0)
+            np.minimum(mu, 0.0, out=mu)
             mu[gam == 1.0] = 0.0  # rho = theta_i + theta_j, without its rounding
             lin_costs = (instance.n - 1) * theta
         if not (np.isfinite(lin_costs).all() and np.isfinite(mu).all()):

@@ -12,7 +12,7 @@ from pclopt import (
     validate_assortment,
     validate_prices,
 )
-from pclopt.instance import tie_break_prefer
+from pclopt.instance import pair_sides, tie_break_prefer
 
 from conftest import toy_instance
 
@@ -24,6 +24,14 @@ def test_pair_index_matches_storage_order():
     for position, (i, j) in enumerate(zip(I, J)):
         assert pair_index(n, int(i), int(j)) == position
         assert pair_index(n, int(j), int(i)) == position  # symmetric lookup
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_pair_sides_gather_over_the_pair_members(n):
+    v = np.random.default_rng(n).standard_normal(n)
+    I, J = pair_members(n)
+    v_i, v_j = pair_sides(v)
+    assert np.array_equal(v_i, v[I]) and np.array_equal(v_j, v[J])
 
 
 def test_pair_index_rejects_diagonal():

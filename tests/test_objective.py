@@ -1,16 +1,21 @@
 import math
+import tracemalloc
 
 import pclopt.exact
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pclopt import (
+    GeneratorConfig,
     Instance,
+    LinearizedCoefficients,
     a_value,
     coefficients,
+    generate_instance,
     grasp,
     knapsack_majorant_bound,
     lp_relaxation,
@@ -46,6 +51,52 @@ def test_coefficient_signs_and_dominance():
         unit = inst.gamma_upper == 1.0
         assert np.all(coeffs.mu[unit] == 0.0)
         assert np.all(np.abs(coeffs.mu[~unit]) > 1e-12)
+
+
+def test_mu_matches_mpmath_on_extreme_alphas_and_gammas():
+    # mu = rho - theta_i - theta_j against 50 digits, with rho taken in log
+    # space as log_nest_value does.  exp turns an error of eps |log rho| in
+    # log rho into a relative one, so errors count in eps rho max(1, |log rho|).
+    # The worst of these draws is 0.86 whether log1p(exp(.)) or
+    # logaddexp(0, .) builds rho, on numpy's AVX-512 code or on libm; the
+    # bound keeps that accuracy
+    rng = np.random.default_rng(29)
+    base = np.concatenate([rng.normal(0.0, 2.0, 20), 700.0 + rng.uniform(-5.0, 5.0, 8),
+                           -700.0 + rng.uniform(-5.0, 5.0, 8)])
+    alpha = np.concatenate([base, rng.choice(base, 12)])  # some alphas repeat
+    n = alpha.size
+    gam = rng.choice([1e-310, 1e-3, 0.1, 1.0 - 1e-12, 1.0], pair_count(n))
+    inst = toy_instance(alpha, [1.0] * n, 1.0, gamma=gam)
+    mu = coefficients(inst).mu
+    assert np.all(mu <= 0.0)
+    assert np.all(mu[gam == 1.0] == 0.0)
+    I, J = pair_members(n)
+    sample = rng.choice(pair_count(n), 400, replace=False)
+    assert np.any(alpha[I[sample]] == alpha[J[sample]])
+    assert np.unique(gam[sample]).size == 5
+    worst = 0.0
+    with mpmath.workdps(50):
+        for p in sample:
+            a_i, a_j, g = (mpmath.mpf(float(v)) for v in (alpha[I[p]], alpha[J[p]], gam[p]))
+            log_rho = max(a_i, a_j) + g * mpmath.log1p(mpmath.exp(-abs(a_i - a_j) / g))
+            rho = mpmath.exp(log_rho)
+            exact = rho - mpmath.exp(a_i) - mpmath.exp(a_j)
+            error = abs(mpmath.mpf(float(mu[p])) - exact) / (rho * max(1, abs(log_rho)))
+            worst = max(worst, float(error) / np.finfo(float).eps)
+    assert worst <= 0.9
+
+
+def test_coefficient_build_never_holds_an_all_pairs_index_array():
+    # the build takes its pair operands row by row in storage order, with no
+    # int64 endpoint arrays: four float arrays of the pair count at its peak
+    inst = generate_instance(GeneratorConfig(n=1000, kappa=0.04, seed=0))
+    tracemalloc.start()
+    try:
+        LinearizedCoefficients.from_instance(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * inst.gamma_upper.nbytes
 
 
 def test_coefficients_are_built_once_and_cached(coefficient_builds):
