@@ -43,9 +43,10 @@ Three routes to the optimum / bounds on it:
     fractional-knapsack majorant of its free products, the mu terms of
     its products on folded in.  The free products are a small core (in
     the sense of Pisinger's knapsack core), so each fill sorts all of
-    them, once, in ``ratio_order``, and returns just the products it takes
+    them, once, in ``ratio_order``, and ends at the products it takes
     whole and the one it takes in part; a node carries its load and the
-    value of its products on from its parent;
+    value of its products on from its parent, and an exclude child its
+    parent's ratio order and the fill up to the branching product;
   - each time the search raises the incumbent, the same certificate fixes
     products against the new A, in the same masks the root's fixing
     starts, at every node popped after that was pushed before it: each
@@ -204,36 +205,50 @@ class BranchBoundConfig:
             raise ValueError("time_budget_s must be finite and nonnegative")
 
 
+def _fill(values, weights, count, total, remaining):
+    """The greedy fill of a relaxed knapsack over [0,1] items, resumed at
+    item ``count`` of ``values`` and ``weights``, lists of Python floats in
+    ratio order: ``total`` is the value of the items before it, all taken
+    whole, and ``remaining`` the capacity they leave.  The fill stops at an
+    item of nonpositive value, at no room left, or at the first item that
+    does not fit, which it takes in part.  Returns the state there,
+    (count, total, remaining, fraction): the items taken whole are the
+    first ``count``, and item ``count`` is taken in part, by ``fraction``,
+    or by nothing where ``fraction`` is None.  The sums run over Python
+    floats, so an overflowing total is a silent inf, which pricing refuses.
+    """
+    for value, weight in zip(values[count:], weights[count:]):
+        if value <= 0.0 or remaining <= 0.0:
+            break
+        if weight > remaining:
+            return count, total, remaining, remaining / weight
+        total += value
+        remaining -= weight
+        count += 1
+    return count, total, remaining, None
+
+
 def _fractional_knapsack(values, weights, capacity, exponents=None, order=None):
     """Relaxed knapsack over [0,1] items: fill by value/weight ratio.
 
-    Items with nonpositive value are left at zero.  The fill runs down
-    ``ratio_order``, one stable sort of every item (``exponents`` is passed
-    on to ``ratio_key``), or down ``order``, a caller's copy of that order
-    for nonnegative ``values``, so the items it takes whole are a prefix of
-    that order.  Returns (optimum, taken, fractional, fraction): their
-    positions, and the position of the one item taken in part with its
-    fraction, or (None, 0.0).  The sum runs over Python floats, so an
-    overflowing optimum is a silent inf, which pricing refuses.
+    Items with nonpositive value are left at zero.  The fill (``_fill``)
+    runs down ``ratio_order``, one stable sort of every item (``exponents``
+    is passed on to ``ratio_key``), or down ``order``, a caller's copy of
+    that order for nonnegative ``values``, so the items it takes whole are
+    a prefix of that order.  Returns (optimum, taken, fractional,
+    fraction): their positions, and the position of the one item taken in
+    part with its fraction, or (None, 0.0).
     """
     if values.size == 0 or capacity <= 0:
         return 0.0, np.zeros(0, dtype=np.intp), None, 0.0
     values = np.maximum(values, 0.0)
     if order is None:
         order = ratio_order(values, weights, exponents)
-    total = 0.0
-    remaining = capacity
-    count = 0
-    for value, weight in zip(values[order].tolist(), weights[order].tolist()):
-        if value <= 0.0 or remaining <= 0.0:
-            break
-        if weight > remaining:
-            fraction = remaining / weight
-            return total + value * fraction, order[:count], int(order[count]), fraction
-        total += value
-        remaining -= weight
-        count += 1
-    return total, order[:count], None, 0.0
+    values = values[order].tolist()
+    count, total, _, fraction = _fill(values, weights[order].tolist(), 0, 0.0, capacity)
+    if fraction is None:
+        return total, order[:count], None, 0.0
+    return total + values[count] * fraction, order[:count], int(order[count]), fraction
 
 
 def _knapsack_fill(m, taken, fractional, fraction) -> np.ndarray:
@@ -633,13 +648,22 @@ def branch_and_bound(
     Only a node pushed before the latest re-fix applies its masks, and
     only one they move products on for sums its load and fixed part anew.
     So a node costs a few O(m) steps for the m products not fixed out,
-    plus one fill over its free products, which returns the products it
-    takes whole and the one it takes in part.  A node closes when its
-    products on do not fit (fixed-in products that do not fit close the
-    search at its root) or when its bound cannot beat the incumbent by
-    more than the tie slack.  An integral, feasible fill updates the
-    incumbent and the node still branches, so its subtree is searched for
-    an assortment an ulp better or ranked first by ``tie_break_prefer``.
+    plus one fill over its free products in ratio order, one stable sort,
+    which ends at the products it takes whole and the one it takes in
+    part.  The exclude-child's c_tilde and residual are its parent's, so
+    its ratio order is the parent's without b: it is pushed with its free
+    products in that order, their c_tilde and w as Python floats, and the
+    fill's state before b where b was the fractional product (the start of
+    the fill otherwise), and resumes the fill there, with no capacity
+    check, gather or sort, as the exclude branch of depth-first knapsack
+    search does (Horowitz & Sahni, J. ACM 1974; Martello & Toth's MT1).  A
+    node popped after a re-fix drops that and fills anew.  A node closes
+    when its products on do not fit (fixed-in products that do not fit
+    close the search at its root) or when its bound cannot beat the
+    incumbent by more than the tie slack.  An integral, feasible fill
+    updates the incumbent and the node still branches, so its subtree is
+    searched for an assortment an ulp better or ranked first by
+    ``tie_break_prefer``.
 
     Exhausting the node or time budget returns status "feasible", the best
     incumbent and, as ``upper_bound``, the LP value or the largest bound
@@ -678,12 +702,14 @@ def branch_and_bound(
         """(load, fixed_part) of ``on`` from scratch: w.on and lin.on + 1/2 on.mu_fold."""
         return float(w_kept @ on), float(lin_kept @ on) + 0.5 * float(on @ mu_fold)
 
-    # a node is (on, free, bound, mu_fold, load, fixed_part, stamp) over the
-    # kept products; the root starts with the fixed-in ones on, as re-fixing
-    # would move them, and is stamped with generation 0, the root's fixing
+    # a node is (on, free, bound, mu_fold, load, fixed_part, stamp, carried)
+    # over the kept products, ``carried`` an exclude child's fill or None;
+    # the root starts with the fixed-in ones on, as re-fixing would move
+    # them, and is stamped with generation 0, the root's fixing
     root_on = fixed_in[kept]
     root_fold = mu_kept @ root_on
-    stack = [(root_on, ~root_on, math.inf, root_fold, *fixed_sums(root_on, root_fold), 0)]
+    stack = [(root_on, ~root_on, math.inf, root_fold, *fixed_sums(root_on, root_fold), 0,
+              None)]
     stopped = False
     # the root's masks hold fixing against inc_a; re-fixed, in a new
     # generation, when A rises
@@ -712,7 +738,7 @@ def branch_and_bound(
         ):
             stopped = True
             break
-        on, free, bound, mu_fold, load, fixed_part, stamp = stack.pop()
+        on, free, bound, mu_fold, load, fixed_part, stamp, carried = stack.pop()
         stats.nodes += 1
 
         # re-fix against the incumbent; the masks depend on its A alone, and
@@ -722,6 +748,7 @@ def branch_and_bound(
             refix_in, refix_out = _reduced_cost_fixing(lp.dual_bound, reduced_kept, inc_a)
             generation += 1
         if stamp != generation:
+            carried = None
             free = free & ~refix_out
             moved = free & refix_in
             if moved.any():
@@ -729,24 +756,29 @@ def branch_and_bound(
                 mu_fold = mu_fold + mu_kept[moved].sum(axis=0)
                 load, fixed_part = fixed_sums(on, mu_fold)
 
-        if not fits_capacity(instance, load, lambda _: offered(on)):
-            continue
         residual = capacity - load
-        # a product that fits to rounding stays free for the integral check
-        free = free & (w_kept - residual <= _CAPACITY_REL_TOL * capacity)
-        free_idx = free.nonzero()[0]
-        if not free_idx.size:
-            maybe_update(offered(on))
-            continue
-
-        # linearized objective with the fixed-on set folded in:
-        # value(x) = fixed_part + sum over free offered of c_tilde + free-free mu
-        c_tilde = lin_kept[free_idx] + mu_fold[free_idx]
-        w_free = w_kept[free_idx]
-        majorant_free, taken, fractional, fraction = _fractional_knapsack(
-            c_tilde, w_free, residual, exponents
-        )
-        majorant = fixed_part + majorant_free
+        if carried is None:
+            if not fits_capacity(instance, load, lambda _: offered(on)):
+                continue
+            # a product that fits to rounding stays free for the integral check
+            free = free & (w_kept - residual <= _CAPACITY_REL_TOL * capacity)
+            free_idx = free.nonzero()[0]
+            if not free_idx.size:
+                maybe_update(offered(on))
+                continue
+            # linearized objective with the fixed-on set folded in: value(x)
+            # = fixed_part + sum over free offered of c_tilde + free-free mu;
+            # the fill leaves c_tilde <= 0 out
+            c_tilde = np.maximum(lin_kept[free_idx] + mu_fold[free_idx], 0.0)
+            w_free = w_kept[free_idx]
+            order = ratio_order(c_tilde, w_free, exponents)
+            carried = (free_idx[order].tolist(), c_tilde[order].tolist(),
+                       w_free[order].tolist(), 0, 0.0, residual)
+        # the free products in ratio order, their c_tilde and w, and the
+        # state of the fill where it resumes
+        ordered, values, w_free, count, total, remaining = carried
+        count, total, remaining, fraction = _fill(values, w_free, count, total, remaining)
+        majorant = fixed_part + (total if fraction is None else total + values[count] * fraction)
         bound = min(bound, majorant * (1 + _MAJORANT_SAFETY))
 
         # the bound is a majorant times (1 + safety); prune it when that
@@ -757,23 +789,34 @@ def branch_and_bound(
         # the fill has at most one fractional product; a fill integral to
         # the tolerance is checked as an assortment, and one with no
         # fractional product branches on the first free product
+        fraction = 0.0 if fraction is None else fraction
         fractionality = min(fraction, 1.0 - fraction)
         if fractionality <= _INTEGRALITY_TOL:
-            filled = taken if fraction <= 0.5 else np.append(taken, fractional)
+            filled = ordered[:count + (fraction > 0.5)]
             on_filled = on.copy()
-            on_filled[free_idx[filled]] = True
+            on_filled[filled] = True
             x_int = offered(on_filled)
-            if fits_capacity(instance, load + float(w_free[filled].sum()), lambda _: x_int):
+            if fits_capacity(instance, load + float(w_kept[filled].sum()), lambda _: x_int):
                 maybe_update(x_int)
 
-        branch_var = int(free_idx[fractional if fractionality > 0.0 else 0])
+        # the exclude child keeps its parent's on, fold and sums, so its
+        # fill is the parent's with the branching product left out: past
+        # the fractional product it resumes at the state before it
+        if fractionality > 0.0:
+            at, state = count, (count, total, remaining)
+        else:
+            at, state = ordered.index(min(ordered)), (0, 0.0, residual)
+        branch_var = ordered[at]
         child_on, child_free = on.copy(), free.copy()
         child_on[branch_var], child_free[branch_var] = True, False
-        stack.append((on, child_free, bound, mu_fold, load, fixed_part, generation))
+        rest = (ordered[:at] + ordered[at + 1:], values[:at] + values[at + 1:],
+                w_free[:at] + w_free[at + 1:], *state)
+        stack.append((on, child_free, bound, mu_fold, load, fixed_part, generation,
+                      rest if rest[0] else None))
         stack.append((child_on, child_free, bound, mu_fold + mu_kept[branch_var],
                       load + w_kept.item(branch_var),
                       fixed_part + lin_kept.item(branch_var) + mu_fold.item(branch_var),
-                      generation))
+                      generation, None))
 
     stats.refixed_in = int(np.count_nonzero(refix_in & ~root_on))
     stats.refixed_out = int(np.count_nonzero(refix_out))

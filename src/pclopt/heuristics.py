@@ -12,7 +12,9 @@ strictly improving moves, so GRASP can never do worse than greedy.
 The local search is deterministic best improvement over add and swap
 moves, scored on the carried single-flip gain in A and the offered
 products' mu rows (the one-flip bookkeeping of binary quadratic local
-search): O(|S| n) per step.
+search): O(|S| n) per step.  A GRASP call builds each mu row it reads
+once, from the pair storage, and a round whose construction an earlier
+round made takes that round's local search as it ended.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import _CAPACITY_REL_TOL, Instance, fits_capacity, tie_break_prefer
+from .instance import _CAPACITY_REL_TOL, Instance, fits_capacity, pair_position, tie_break_prefer
 from .objective import a_value, coefficients, ratio_order
 # optimal_uniform_price is unused; the benchmark's tracer patches it
 from .pricing import SolveResult, SolveStats, optimal_uniform_price, price_for_a  # noqa: F401
@@ -116,32 +118,54 @@ def _construct(instance, order, rcl, rng):
             load += weights[k]
 
 
-def _add_gain(instance, offered):
-    """(gain, block): the mu rows of the offered set S, one per product, and
-    gain[k] = A(x + e_k) - A(x) for k outside S and A(x) - A(x - e_k) for
-    k in it: (n-1) theta_k plus the block's column sum (mu's diagonal is
-    zero).  O(|S| n)."""
-    coeffs = coefficients(instance)
-    block = coeffs.mu_matrix(instance.n, offered, np.arange(instance.n))
-    return coeffs.lin_costs + block.sum(axis=0), block
+def _mu_rows(instance):
+    """A getter of mu's dense rows, row(k) = mu[k, :] with its zero
+    diagonal, each built on first use from the pair storage and kept for
+    every later round: the column part, pairs (j, k) for j < k, at
+    ``pair_position(n, arange(k), k)``, then row k's own slice, pairs
+    (k, j) for j > k.  The rows are shared: no caller writes to them."""
+    n, mu = instance.n, coefficients(instance).mu
+    rows = {}
+
+    def row(k):
+        k = int(k)
+        got = rows.get(k)
+        if got is None:
+            start = pair_position(n, k, k + 1)
+            got = rows[k] = np.concatenate([mu[pair_position(n, np.arange(k), k)], [0.0],
+                                            mu[start:start + n - 1 - k]])
+        return got
+
+    return row
 
 
-def _local_search(instance, x):
+def _add_gain(instance, offered, row):
+    """(gain, block): the mu rows of the offered set S, one per product,
+    from the getter ``row`` (``_mu_rows``), and gain[k] = A(x + e_k) - A(x)
+    for k outside S and A(x) - A(x - e_k) for k in it: (n-1) theta_k plus
+    the block's column sum (mu's diagonal is zero).  O(|S| n)."""
+    block = np.array([row(k) for k in offered]).reshape(len(offered), instance.n)
+    return coefficients(instance).lin_costs + block.sum(axis=0), block
+
+
+def _local_search(instance, x, row):
     """Best improvement over add and swap moves, to a local optimum: each
     step makes the feasible move that raises A most, until none raises it
     by more than _IMPROVE_TOL * A.  No drop raises A (mu_kj >= -min(theta_k,
     theta_j) puts gain_k at (n - |S|) theta_k or more), so none is tried.
+    Returns (x, moves, A(x)), A evaluated anew only where a move was made.
 
     A row of the offered products' mu block, or the zero row below them
     for the adds, scores swapping its product out for each k: gain[k] -
     (gain[out] + mu[out, k]).  Loads past C by more than rounding are not
     scored, and the best move left goes through ``fits_capacity``.  An
-    accepted move gathers the added product's mu row, moves the gain by
-    it less the row it replaces, and takes that row's place.
+    accepted move takes the added product's mu row from the getter ``row``
+    (``_mu_rows``), moves the gain by it less the row it replaces, and
+    takes that row's place.
     """
     n, weights = instance.n, instance.weights
     offered = np.flatnonzero(x)
-    gain, block = _add_gain(instance, offered)
+    gain, block = _add_gain(instance, offered, row)
     block = np.vstack([block, np.zeros(n)])
     load, a, moves = float(weights @ x.astype(float)), a_value(instance, x), 0
     limit = instance.capacity * (1 + 2 * _CAPACITY_REL_TOL)
@@ -155,16 +179,17 @@ def _local_search(instance, x):
             r, k = divmod(int(scores.argmax()), n)
             delta = float(scores[r, k])
             if not delta > _IMPROVE_TOL * a:
-                return x, moves
+                # the carried A is exact until the first move
+                return x, moves, a_value(instance, x) if moves else a
             trial = x.copy()
             trial[offered[r:r + 1]], trial[k] = 0, 1  # the add row drops nothing
             new_load = load - freed[r] + weights[k]
             if fits_capacity(instance, new_load, lambda _: trial):
                 break
             scores[r, k] = -np.inf
-        row = coefficients(instance).mu_matrix(n, [k], np.arange(n))[0]
-        gain += row - block[r]
-        block[r] = row
+        added = row(k)
+        gain += added - block[r]
+        block[r] = added
         if r < offered.size:
             offered[r] = k
         else:
@@ -177,12 +202,18 @@ def grasp(instance: Instance, config: GraspConfig | None = None) -> SolveResult:
 
     Each round gets its own RNG stream derived from (seed, round), so rounds
     are independently reproducible.  Rounds tie-break by A, then by the
-    canonical assortment preference, so the output is deterministic.
+    canonical assortment preference, so the output is deterministic.  A
+    round that repeats an earlier construction repeats its local search,
+    whose moves ``improvement_count`` counts again.
     """
     if config is None:
         config = GraspConfig()
     order = ratio_order(coefficients(instance).theta, instance.weights)
 
+    row = _mu_rows(instance)
+    # the local search is deterministic: a construction met before
+    # continues as it did then
+    searched = {}
     best_x = None
     best_a = -np.inf
     best_rcl = 1
@@ -190,9 +221,11 @@ def grasp(instance: Instance, config: GraspConfig | None = None) -> SolveResult:
     for rcl in range(1, config.rcl_max + 1):
         rng = np.random.default_rng((config.seed, rcl))
         x = _construct(instance, order, rcl, rng)
-        x, accepted = _local_search(instance, x)
+        key = x.tobytes()
+        if key not in searched:
+            searched[key] = _local_search(instance, x, row)
+        x, accepted, a = searched[key]
         improvements += accepted
-        a = a_value(instance, x)
         if a > best_a or (a == best_a and tie_break_prefer(x, best_x)):
             best_x, best_a, best_rcl = x, a, rcl
     return _heuristic_result(instance, best_x, best_a, best_rcl, improvements)

@@ -78,6 +78,14 @@ def pair_positions(products: np.ndarray, n: int):
     return pair_position(n, i, j), i, j
 
 
+def offered_pair_positions(products: np.ndarray, n: int) -> np.ndarray:
+    """``pair_positions(products, n)[0]`` for sorted, distinct ``products``,
+    without the endpoints: position (i, j) is pair_position(n, i, 0) + j,
+    taken where i < j from the m x m table of those sums in row order, so
+    no ``np.nonzero`` runs over the m^2 mask."""
+    return np.add.outer(pair_position(n, products, 0), products)[np.less.outer(products, products)]
+
+
 def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 

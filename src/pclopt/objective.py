@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choice import log_nest_value
-from .instance import Instance, pair_position, pair_positions, pair_sides, validate_assortment
+from .instance import (Instance, offered_pair_positions, pair_position, pair_sides,
+                       validate_assortment)
 
 # ratio_key orders exactly every value down to 2^-_RATIO_KEY_BITS of the
 # largest; the ratios of smaller ones may tie or misorder among themselves,
@@ -52,7 +53,7 @@ class LinearizedCoefficients:
     lin_costs = (n-1) theta, the regrouped linear part of the program.
 
     mu is held once, in the instance's pair storage order; ``mu_matrix``
-    gathers the dense blocks that the searches read from it."""
+    gathers the dense blocks that the search reads from it."""
 
     theta: np.ndarray
     mu: np.ndarray
@@ -147,7 +148,7 @@ def a_value(instance: Instance, x) -> float:
     coeffs = coefficients(instance)
     offered = np.flatnonzero(x)
     lin = coeffs.lin_costs[offered]
-    mu = coeffs.mu[pair_positions(offered, instance.n)[0]]
+    mu = coeffs.mu[offered_pair_positions(offered, instance.n)]
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite A is refused when priced
         a = lin.sum() + mu.sum()
         if not np.isfinite(a):

@@ -797,6 +797,29 @@ PINNED_SEARCHES = [
        824, 830, 833, 844, 847, 852, 853, 858, 861, 864, 867, 871, 876, 878, 881, 892, 903,
        905, 923, 940, 948, 950, 954, 965, 970, 986],
       423302.99974558974, 423302.99974558974)),
+    # the budget stops these two: the exclude children that resume their
+    # parent's fill must open and close the same nodes, and leave the same
+    # bounds open
+    ((1000, 0.06, 0, 2000),
+     ("feasible", 2000,
+      [0, 9, 17, 40, 42, 43, 50, 51, 52, 75, 76, 77, 85, 89, 94, 103, 109, 116, 122, 130, 140,
+       147, 157, 161, 165, 170, 173, 180, 182, 188, 190, 192, 210, 211, 214, 215, 218, 222,
+       230, 243, 246, 251, 263, 267, 273, 274, 278, 279, 283, 300, 317, 339, 343, 365, 368,
+       369, 373, 401, 402, 413, 415, 420, 421, 425, 427, 429, 433, 440, 445, 451, 459, 470,
+       488, 491, 492, 493, 498, 500, 505, 508, 512, 514, 516, 524, 526, 527, 532, 548, 554,
+       556, 575, 577, 578, 579, 583, 602, 608, 625, 627, 635, 639, 644, 647, 656, 660, 664,
+       666, 678, 681, 690, 703, 707, 710, 711, 717, 737, 741, 744, 747, 751, 764, 770, 774,
+       775, 785, 789, 791, 798, 812, 815, 829, 835, 841, 845, 860, 861, 871, 874, 877, 882,
+       886, 889, 895, 909, 919, 927, 933, 941, 944, 946, 947, 957, 963, 969, 973, 977, 996,
+       997],
+      537678.7589502246, 537862.6749834605)),
+    ((400, 0.06, 0, 500),
+     ("feasible", 500,
+      [15, 29, 31, 40, 48, 51, 54, 55, 57, 62, 67, 75, 91, 94, 114, 120, 137, 144, 157, 175,
+       183, 185, 189, 190, 197, 200, 209, 221, 224, 231, 249, 254, 259, 264, 266, 273, 275,
+       283, 299, 301, 305, 323, 342, 346, 348, 352, 359, 361, 365, 376, 381, 383, 384, 389,
+       391, 392],
+      78778.3511869557, 78968.04315625498)),
 ]
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,13 +10,15 @@ from pclopt import (
     GraspConfig,
     a_value,
     brute_force_oracle,
+    derive_seed,
     generate_instance,
     grasp,
     greedy,
     is_feasible,
     pair_count,
 )
-from pclopt.heuristics import _IMPROVE_TOL, _construct, _local_search
+import pclopt.heuristics
+from pclopt.heuristics import _IMPROVE_TOL, _construct, _local_search, _mu_rows
 from pclopt.objective import coefficients, ratio_order
 
 from conftest import ROUNDING_ALPHA, ROUNDING_CENTS, random_instance, toy_instance
@@ -242,9 +246,10 @@ def test_local_search_ends_at_a_local_optimum(data):
                        np.random.default_rng((seed, rcl)))
     if data.draw(st.booleans()):  # a thinned construction, with room for adds
         start &= np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    x, moves = _local_search(inst, start)
+    x, moves, a_found = _local_search(inst, start, _mu_rows(inst))
     assert is_feasible(inst, x)
     a = a_value(inst, x)
+    assert a_found == a
     assert a >= a_value(inst, start) and (moves > 0 or np.array_equal(x, start))
     # no feasible add or swap raises A by more than the search's tolerance
     for y in _moves(x):
@@ -273,3 +278,53 @@ def test_heuristic_answers_pass_is_feasible(case, seed):
     inst = toy_instance(alpha, [c / 100 for c in cents], capacity, gamma=gamma)
     for result in (greedy(inst), grasp(inst, GraspConfig(seed=seed))):
         assert is_feasible(inst, result.assortment)
+
+
+# (n, kappa, index) -> (construction_rcl, improvement_count, A, distinct
+# constructions) of GRASP on the grid's instance with its grid seed, as the
+# pinned searches seed it.  A round that repeats a construction repeats its
+# local search, moves included: at (20, 0.04, 2) rounds 1, 2, 3 and 5 build
+# one assortment, which takes 1 move, and round 4 another
+PINNED_GRASP = [
+    ((1000, 0.06, 0), (4, 5, 537678.7589502246, 4)),
+    ((400, 0.06, 0), (1, 7, 78778.3511869557, 5)),
+    ((50, 0.06, 1), (5, 4, 1404.4952804308498, 3)),
+    ((20, 0.04, 2), (1, 5, 190.80432703386725, 2)),
+]
+
+
+@pytest.mark.parametrize("cell, expected", PINNED_GRASP,
+                         ids=[f"{c[0]}-{c[1]}-{c[2]}" for c, _ in PINNED_GRASP])
+def test_grasp_rounds_are_pinned(cell, expected, monkeypatch):
+    n, kappa, index = cell
+    rcl, improvements, a, distinct = expected
+    inst = generate_instance(GeneratorConfig(n, kappa, derive_seed(0, n, kappa, index)))
+    searches = []
+
+    def counted(*args):
+        searches.append(args[1])
+        return _local_search(*args)
+
+    monkeypatch.setattr(pclopt.heuristics, "_local_search", counted)
+    result = grasp(inst, GraspConfig(seed=derive_seed(0, n, kappa, index, "grasp")))
+    assert (result.stats.construction_rcl, result.stats.improvement_count) == (rcl, improvements)
+    assert result.a_value == a == a_value(inst, result.assortment)
+    # one local search per distinct construction
+    assert len(searches) == len({x.tobytes() for x in searches}) == distinct
+
+
+
+def test_grasp_never_holds_a_dense_mu():
+    # GRASP builds the mu rows it reads from the pair storage, once each:
+    # its peak stays below one n x n float matrix (the coefficients are
+    # built before, and are not its own)
+    n = 1000
+    inst = generate_instance(GeneratorConfig(n, 0.06, derive_seed(0, n, 0.06, 0)))
+    coefficients(inst)
+    tracemalloc.start()
+    try:
+        grasp(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8

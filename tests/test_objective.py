@@ -23,7 +23,8 @@ from pclopt import (
     pair_members,
 )
 
-from pclopt.heuristics import _add_gain
+from pclopt.heuristics import _add_gain, _mu_rows
+from pclopt.instance import offered_pair_positions, pair_positions
 from pclopt.objective import ratio_order
 
 from conftest import (dense_mu, pair_sum_a, random_feasible_assortment, random_instance,
@@ -170,7 +171,7 @@ def test_linearization_identity_vanishes_at_gamma_one():
 
 def test_add_gain_on_empty_assortment():
     inst = random_instance(4)
-    gain, block = _add_gain(inst, np.array([], dtype=np.intp))
+    gain, block = _add_gain(inst, np.array([], dtype=np.intp), _mu_rows(inst))
     assert np.array_equal(gain, coefficients(inst).lin_costs)
     assert block.shape == (0, inst.n)
 
@@ -215,7 +216,7 @@ def test_swap_delta_matches_full_recomputation():
         ones, zeros = np.flatnonzero(x), np.flatnonzero(x == 0)
         if ones.size == 0 or zeros.size == 0:
             continue
-        gain, block = _add_gain(inst, ones)
+        gain, block = _add_gain(inst, ones, _mu_rows(inst))
         assert np.array_equal(block, mu_mat[ones])
         a = a_value(inst, x)
         for k in range(inst.n):
@@ -239,7 +240,7 @@ def test_carried_gain_matches_a_fresh_build():
         x = random_feasible_assortment(inst, rng)
         if not 0 < x.sum() < inst.n:
             continue
-        gain = _add_gain(inst, np.flatnonzero(x))[0]
+        gain = _add_gain(inst, np.flatnonzero(x), _mu_rows(inst))[0]
         for _ in range(200):
             inc = rng.choice(np.flatnonzero(x == 0))
             if rng.random() < 0.1 and x.sum() < inst.n - 1:  # an add
@@ -249,7 +250,7 @@ def test_carried_gain_matches_a_fresh_build():
                 x[out] = 0
                 gain += mu_mat[inc] - mu_mat[out]
             x[inc] = 1
-        fresh = _add_gain(inst, np.flatnonzero(x))[0]
+        fresh = _add_gain(inst, np.flatnonzero(x), _mu_rows(inst))[0]
         # 0 <= gain <= lin_costs, the scale of each entry
         assert np.all(np.abs(gain - fresh) <= 1e-12 * coeffs.lin_costs)
 
@@ -282,6 +283,51 @@ def test_a_value_matches_the_pair_sum(data):
     inst = toy_instance(alpha, [1.0] * n, float(n), gamma=np.array(gammas))
     x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
     assert a_value(inst, x) == pytest.approx(pair_sum_a(inst, x), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 40, 300])
+def test_offered_pair_positions_are_pair_positions(n):
+    rng = np.random.default_rng(n)
+    sets = [np.array([], dtype=np.intp), np.array([n // 2]), np.array([n - 2, n - 1]),
+            np.arange(n)]
+    sets += [np.sort(rng.choice(n, rng.integers(1, n + 1), replace=False)) for _ in range(20)]
+    for products in sets:
+        expected = pair_positions(products, n)[0]
+        got = offered_pair_positions(products, n)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def _a_over_pair_positions(instance, x):
+    """A as ``a_value`` sums it, over the positions ``pair_positions`` gives."""
+    offered = np.flatnonzero(x)
+    coeffs = coefficients(instance)
+    lin = coeffs.lin_costs[offered]
+    mu = coeffs.mu[pair_positions(offered, instance.n)[0]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = lin.sum() + mu.sum()
+        halved = not np.isfinite(a)
+        if halved:
+            a = 2.0 * (np.ldexp(lin, -1).sum() + np.ldexp(mu, -1).sum())
+    return float(a), halved
+
+
+@pytest.mark.parametrize("shift", [0.0, 707.0])
+def test_a_value_is_the_sum_over_pair_positions(shift):
+    # bit for bit; near alpha = 707 the linear part of a few products
+    # overflows where A does not, and the halved sums run
+    rng = np.random.default_rng(7)
+    halved_runs = 0
+    for seed in range(40):
+        n = int(rng.integers(2, 9)) if shift else int(rng.integers(2, 60))
+        alpha = shift + rng.uniform(-1.0, 0.05, n)
+        gamma = rng.choice([1e-310, 1.0, 0.3, 0.9], pair_count(n))
+        inst = toy_instance(alpha, [1.0] * n, float(n), gamma=gamma)
+        for _ in range(5):
+            x = (rng.random(n) < 0.7).astype(np.int8)
+            a, halved = _a_over_pair_positions(inst, x)
+            assert a_value(inst, x) == a
+            halved_runs += halved and math.isfinite(a)
+    assert (halved_runs > 0) == (shift > 0)
 
 
 def test_a_value_is_finite_where_its_linear_part_overflows():
