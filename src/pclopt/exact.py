@@ -13,15 +13,24 @@ Three routes to the optimum / bounds on it:
   fractional-knapsack ratio order.  The first restricted LP holds every
   pair of that prefix, so one HiGHS solve usually suffices; violated rows
   outside it are still generated lazily, which keeps the answer exact.
+  The pairs among the products the knapsack fill takes whole, most of
+  that prefix's pairs, get no row: each is folded into the costs as
+  mu_ij (x_i + x_j - 1), which is the Lagrangian of its row at the
+  multiplier -mu_ij (Caprara, Pisinger & Toth, INFORMS J. Comput. 1999)
+  and never below mu_ij y_ij, so the folded LP bounds the LP above and
+  its duals, with -mu_ij on the folded pairs, certify the full program.
+  A folded pair left short of x_i + x_j >= 1 is unfolded lazily, in the
+  same round as the prefix, which keeps the value exact.
   Each restricted LP goes to HiGHS through the binding scipy ships
   (``_solve_highs``), with linprog's options but not its wrapper, and its
   dual simplex starts from the basis of the fractional-knapsack fill
   (``_start_basis``), near the LP optimum, not from the all-slack basis
-  linprog starts from.  That basis is primal feasible, with y basic on
-  the pair rows the fill makes tight: at n = 1000 (kappa 0.02-0.06,
-  master seed 0, indices 0-3) the dual simplex takes 0-226 iterations
-  where the all-slack start takes 2,349-14,646.  The binding is loaded
-  from its file (``_load_highs``), so importing pclopt imports neither
+  linprog starts from, and without HiGHS's matrix scaling.  That basis
+  is primal feasible, with y basic on the pair rows the fill makes
+  tight: at n = 1000 (kappa 0.02-0.06, master seed 0, indices 0-3) the
+  dual simplex takes 0-223 iterations where the all-slack start takes
+  331-3,410 on the same folded LPs.  The binding is loaded from its
+  file (``_load_highs``), so importing pclopt imports neither
   scipy.optimize nor scipy.sparse: the matrix is built as CSR arrays in
   numpy (``_lp_matrix``), the same arrays scipy.sparse would hold.  Its
   answer carries the dual certificate of its bound: the row duals, the
@@ -142,6 +151,10 @@ _TIE_REL_TOL = 1e-12
 # knapsack fill's support, in ratio order; the prefix grows by the same
 # factor past the deepest product of a violated row
 _SEED_PREFIX_FACTOR = 1.25
+# the pair rows among the knapsack fill's products taken whole are folded
+# into the costs, all but those of the last fraction _FOLD_MARGIN of them
+# in ratio order, the ones the LP optimum may offer in part
+_FOLD_MARGIN = 0.05
 # HiGHS options of every LP solve, the ones linprog(method="highs") passes
 # for these arguments: presolve only slows these LPs down, and the
 # feasibility tolerances are the tightest HiGHS takes
@@ -168,15 +181,17 @@ class InstanceTooLarge(ValueError):
 class LpSolution:
     """The LP optimum x, its objective, the HiGHS solves it took and
     their simplex iterations, with the dual certificate of the last
-    restricted LP, unscaled: the pair positions of its pair rows and their
-    duals (every other pair row's dual is 0), the reduced costs of x and
-    the weak-duality value D >= objective_value (raised to the objective
-    where rounding puts the duals' value a few ulps below it).  The duals
-    are kept sparse: a dense vector over every pair would take 4 MB at
-    n = 1000 for about 6.5k rows.
+    restricted LP, unscaled: the pair positions of its pair rows and of its
+    folded pairs, in storage order, and their duals, -mu on a folded pair
+    (every other pair's dual is 0), the reduced costs of x and the
+    weak-duality value D >= objective_value (raised to the objective where
+    rounding puts the duals' value a few ulps below it).  The duals are
+    kept sparse: a dense vector over every pair would take 4 MB at
+    n = 1000 for about 10k rows and folded pairs.
 
-    Every omitted pair's y column has reduced cost mu <= 0 at a zero dual,
-    so the certificate holds for the full program: D - max(0, r_k) + r_k
+    A folded pair's y column has reduced cost mu + (-mu) = 0, and every
+    omitted pair's y column has reduced cost mu <= 0 at a zero dual, so
+    the certificate holds for the full program: D - max(0, r_k) + r_k
     bounds every assortment that offers product k, and D - max(0, r_k)
     every one that does not.
     """
@@ -298,13 +313,16 @@ def _transposed_product(a_ub, u) -> np.ndarray:
     return np.bincount(indices, data * np.repeat(u, np.diff(indptr)))
 
 
-def _weak_duality_bound(cost, a_ub, b_ub, u, exponent) -> tuple[float, np.ndarray]:
+def _weak_duality_bound(cost, a_ub, b_ub, u, exponent,
+                        constant=0.0) -> tuple[float, np.ndarray]:
     """(D, r), unscaled by 2^-exponent: the reduced costs r = -cost - A'u
-    and D = u'b plus the positive reduced costs.  For any u >= 0, D bounds
-    max -cost'z over A z <= b, 0 <= z <= 1 above, and D - max(0, r_k) +
-    r_k (D - max(0, r_k)) bounds it with z_k fixed at 1 (0)."""
+    and D = u'b plus the positive reduced costs plus ``constant``.  For
+    any u >= 0, D bounds constant + max -cost'z over A z <= b, 0 <= z <= 1
+    above, and D - max(0, r_k) + r_k (D - max(0, r_k)) bounds it with z_k
+    fixed at 1 (0).  ``constant`` is in the scaled units of ``cost``, and
+    joins the sum before D is unscaled."""
     reduced = -cost - _transposed_product(a_ub, u)
-    dual = np.ldexp(u @ b_ub + np.maximum(0.0, reduced).sum(), -exponent)
+    dual = np.ldexp(u @ b_ub + np.maximum(0.0, reduced).sum() + constant, -exponent)
     return float(dual), np.ldexp(reduced, -exponent)
 
 
@@ -385,8 +403,9 @@ def _solve_highs(cost, a_ub, b_ub, basis=None) -> tuple[np.ndarray, np.ndarray, 
     One HiGHS solve through scipy's bundled binding, with the options
     linprog passes but without its input checks and per-call option
     parsing.  Dual simplex starts from ``basis`` (a ``HighsBasis``, such as
-    ``_start_basis``) when given, else from the all-slack basis, as linprog
-    does: without a basis the answer is linprog's bit for bit.  A fresh
+    ``_start_basis``) when given, with HiGHS's matrix scaling off, else
+    from the all-slack basis with linprog's scaling, as linprog does:
+    without a basis the answer is linprog's bit for bit.  A fresh
     solver per call carries no state between solves, so a call repeats
     bit for bit.  A basis HiGHS refuses raises RuntimeError.  From a basis,
     HiGHS may stop short of optimal (status Unknown, a dual infeasibility
@@ -397,8 +416,12 @@ def _solve_highs(cost, a_ub, b_ub, basis=None) -> tuple[np.ndarray, np.ndarray, 
     solver = highs._Highs()
     solver.passOptions(_HIGHS_OPTIONS)
     _pass_model(solver, cost, a_ub, b_ub)
-    if basis is not None and solver.setBasis(basis) == highs.HighsStatus.kError:
-        raise RuntimeError("LP solve failed: HiGHS refused the start basis")
+    if basis is not None:
+        # from a start basis, without linprog's scaling: on 60 n = 400 and
+        # 1000 root LPs, the same reduced costs bit for bit in 10% less time
+        solver.setOptionValue("simplex_scale_strategy", 0)
+        if solver.setBasis(basis) == highs.HighsStatus.kError:
+            raise RuntimeError("LP solve failed: HiGHS refused the start basis")
     failed = solver.run() == highs.HighsStatus.kError
     iterations = solver.getInfo().simplex_iteration_count
     if failed or solver.getModelStatus() != highs.HighsModelStatus.kOptimal:
@@ -415,21 +438,38 @@ def _solve_highs(cost, a_ub, b_ub, basis=None) -> tuple[np.ndarray, np.ndarray, 
 def lp_relaxation(instance: Instance) -> LpSolution:
     """Optimal LP relaxation; its objective bounds A(x) for all feasible x.
 
-    The first restricted LP holds every pair row (mu < 0) among the first
+    The first restricted LP holds every pair (mu < 0) among the first
     ceil(1.25 s) products in fractional-knapsack ratio order, s being the
     number of products the knapsack fill offers: the LP optimum spends the
     capacity on about that prefix, so one HiGHS solve usually suffices.
-    The lazy net keeps the answer exact: the rows are the pair rows among
-    the prefix; when the solution violates x_i + x_j <= 1 on a pair outside
-    it, the prefix grows to 1.25 times the ratio rank of the deepest
-    violated product and the LP is solved again; when no uncovered pair is
-    violated, the restricted optimum is the full LP optimum.  Only pairs of
-    products with positive x can violate their row, so the scan and the
-    objective's mu terms cost O(p^2) for p such products.  Each restricted
-    LP is built in CSR form and solved by ``_solve_highs`` from
-    ``_start_basis`` at the knapsack fill: on n = 1000, kappa = 0.04
-    (master seed 0, indices 0-3) that takes 46-119 simplex iterations where
-    the all-slack start takes 6,030-7,784.  Without the basis the binding
+    The lazy net keeps the answer exact: when the solution violates
+    x_i + x_j <= 1 on a pair outside the prefix, the prefix grows to 1.25
+    times the ratio rank of the deepest violated product and the LP is
+    solved again; when no uncovered pair is violated, the restricted
+    optimum is the full LP optimum.  Only pairs of products with positive
+    x can violate their row, so the scan and the objective's mu terms cost
+    O(p^2) for p such products.
+
+    A pair of the prefix gets a row unless both its products are folded:
+    taken whole by the fill, and not among the last ``_FOLD_MARGIN`` of
+    those in ratio order.  A folded pair's mu_ij is added to the linear
+    costs of i and j, and -mu_ij to a constant ``_weak_duality_bound``
+    adds in scaled units: mu_ij y_ij becomes mu_ij (x_i + x_j - 1), which
+    is no smaller, as mu <= 0 and x_i + x_j - 1 <= max(0, x_i + x_j - 1).
+    So the folded LP bounds the restricted LP above, and its duals with
+    u_ij = -mu_ij on the folded pairs are dual feasible for the full LP,
+    each folded y column at reduced cost 0: D and the reduced costs are
+    weak-duality certificates whatever HiGHS returns.  The two values
+    agree when every folded pair has x_i + x_j >= 1 at the folded
+    optimum; a folded pair short by more than 1e-12 has its products with
+    x < 1 unfolded, and the LP is solved again with their rows, in the
+    same round as a grown prefix.  At n = 1000, kappa = 0.04 the fold
+    takes the LP from about 10k rows to 4.5k.
+
+    Each restricted LP is built in CSR form and solved by ``_solve_highs``
+    from ``_start_basis`` at the knapsack fill: on n = 1000, kappa = 0.04
+    (master seed 0, indices 0-3) that takes 45-120 simplex iterations where
+    the all-slack start takes 1,074-1,773.  Without the basis the binding
     returns linprog's answer bit for bit, which is how the tests tie it to
     linprog; with it, an optimal vertex of the same LP.
 
@@ -465,14 +505,29 @@ def lp_relaxation(instance: Instance) -> LpSolution:
     row_weights = np.ldexp(instance.weights, row_exponent)
     row_capacity = np.ldexp(instance.capacity, row_exponent)
 
+    # the products whose pair rows are folded into the costs: the fill's
+    # products taken whole, less the last _FOLD_MARGIN of them in ratio order
+    folding = np.zeros(n, dtype=bool)
+    folding[taken[:taken.size - math.ceil(_FOLD_MARGIN * taken.size)]] = True
+
     solves = iterations = 0
     for _ in range(mu.size + 2):
         # sorted products give their pairs in storage order
         seeded, seeded_i, seeded_j = pair_positions(np.sort(order[:prefix]), n)
-        rows = mu[seeded] < 0.0
+        candidate = mu[seeded] < 0.0
+        folds = candidate & folding[seeded_i] & folding[seeded_j]
+        rows = candidate & ~folds
         sel, pair_i, pair_j = seeded[rows], seeded_i[rows], seeded_j[rows]
+        fold_i, fold_j = seeded_i[folds], seeded_j[folds]
+        # a folded pair's mu moves to the linear costs of both its products
+        # and its -mu to the constant, in scaled units
+        fold_mu = np.ldexp(mu[seeded[folds]], exponent)
+        constant = -float(fold_mu.sum())
         k = sel.size
-        cost = np.ldexp(np.concatenate([-lin_costs, -mu[sel]]), exponent)
+        cost = np.concatenate([
+            np.ldexp(-lin_costs, exponent)
+            - (np.bincount(fold_i, fold_mu, n) + np.bincount(fold_j, fold_mu, n)),
+            np.ldexp(-mu[sel], exponent)])
         a_ub = _lp_matrix(row_weights, pair_i, pair_j)
         b_ub = np.concatenate([[row_capacity], np.ones(k)])
         z, row_dual, steps = _solve_highs(cost, a_ub, b_ub,
@@ -484,7 +539,9 @@ def lp_relaxation(instance: Instance) -> LpSolution:
         excess = x[i] + x[j] - 1.0
         outside = np.maximum(rank[i], rank[j]) >= prefix
         violated = (mu[pos] < 0.0) & outside & (excess > 1e-12)
-        if not violated.any():
+        # a folded pair short of x_i + x_j >= 1 is counted above its value
+        short = x[fold_i] + x[fold_j] - 1.0 < -1e-12
+        if not (violated.any() or short.any()):
             # HiGHS may stop on a reduced cost below its tolerance with x
             # short of the optimum; the weak-duality bound of its duals
             # never falls below it; when it lies past rounding, the duals
@@ -498,26 +555,33 @@ def lp_relaxation(instance: Instance) -> LpSolution:
                     # objective does not; halved, it cannot
                     objective = float(2.0 * (np.ldexp(lin_costs, -1) @ x
                                              + np.ldexp(mu[pos], -1) @ y))
-                dual, reduced = _weak_duality_bound(cost, a_ub, b_ub, u, exponent)
+                dual, reduced = _weak_duality_bound(cost, a_ub, b_ub, u, exponent, constant)
                 if dual - objective > _DUALITY_GAP_REL_TOL * abs(objective):
                     refined = _refined_duals(cost, a_ub, u, z)
                     refined_dual, refined_reduced = _weak_duality_bound(
-                        cost, a_ub, b_ub, refined, exponent)
+                        cost, a_ub, b_ub, refined, exponent, constant)
                     if refined_dual < dual:
                         u, dual, reduced = refined, refined_dual, refined_reduced
             if (not math.isfinite(objective)
                     or dual - objective > _DUALITY_GAP_REL_TOL * abs(objective)):
                 objective = dual
+            # the folded pairs' duals are -mu, which prices their y at 0
+            pair_duals = -mu[seeded]
+            pair_duals[rows] = np.ldexp(u[1:], -exponent)
             # rounding can put the duals' bound a few ulps below the
             # objective at x; raising D to it keeps the certificate valid
             return LpSolution(
                 x_frac=x, objective_value=objective, lp_solves=solves,
-                simplex_iterations=iterations, pair_rows=sel,
-                pair_duals=np.ldexp(u[1:], -exponent), reduced_costs=reduced[:n],
+                simplex_iterations=iterations, pair_rows=seeded[candidate],
+                pair_duals=pair_duals[candidate], reduced_costs=reduced[:n],
                 dual_bound=max(dual, objective),
             )
-        deepest = rank[np.concatenate([i[violated], j[violated]])].max()
-        prefix = max(prefix, math.ceil(_SEED_PREFIX_FACTOR * (deepest + 1)))
+        if violated.any():
+            deepest = rank[np.concatenate([i[violated], j[violated]])].max()
+            prefix = max(prefix, math.ceil(_SEED_PREFIX_FACTOR * (deepest + 1)))
+        # unfold the short pairs' products below 1, and solve again with their rows
+        ends = np.concatenate([fold_i[short], fold_j[short]])
+        folding[ends[x[ends] < 1.0]] = False
     raise RuntimeError("pair-row generation failed to converge")
 
 

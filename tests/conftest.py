@@ -108,6 +108,23 @@ def past_prefix_instance() -> Instance:
     return toy_instance([0.0, -0.1, -0.2, -0.3, -0.4], [1.0] * 5, 2.0, gamma=0.1)
 
 
+def short_fold_instance() -> Instance:
+    """An LP whose first solve leaves a folded pair short of x_i + x_j >= 1.
+
+    The knapsack fill takes products 4, 3, 1, 2 and 5 whole, in that ratio
+    order, so the first restricted LP folds the pair rows among 4, 3, 1 and
+    2 into its costs.  It answers x = (1, 0, 0, 1, 1, 1), which leaves the
+    folded pair (1, 2) at x_1 + x_2 = 0: products 1 and 2 are unfolded and
+    the second LP, with their rows built and (3, 4) still folded, answers
+    the integral optimum {0, 1, 3, 4}.
+    """
+    return toy_instance(
+        [0.4, -0.1, -0.2, 0.0, 0.2, -0.2], [2.0, 1.0, 1.0, 1.0, 1.0, 1.0], 5.0,
+        gamma=np.array([0.1, 1.0, 1.0, 1.0, 0.1, 0.01, 1.0, 0.5, 1.0, 0.1, 0.01, 0.1, 0.5,
+                        0.1, 1.0]),
+    )
+
+
 ROUNDING_ALPHA = [0.7941753543516898, 0.9094543345306465, 0.38507782627873977,
                   0.8730852124899648, 0.9999404287230818, 0.6905938922266335,
                   -0.9666909818273628]
